@@ -36,8 +36,7 @@
  *   DOPP_SLICE_HASH       slice-selection policy, "bitselect"
  *                         (default) or "sandybridge"
  *   DOPP_SLICE_THREADS    per-slice worker threads (default 1);
- *                         result-neutral by the synchronous-dispatch
- *                         contract
+ *                         result-neutral: routed runs never use them
  */
 
 #ifndef DOPP_BENCH_COMMON_HH

@@ -95,7 +95,9 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
 
 # Re-run the sliced-LLC suite with worker threads forced on: the
 # slice worker pool, the merge closures capturing per-slice counters
-# and the concurrent replay's locked memory path are the new
+# and the concurrent replay's lock-free memory path (blocks
+# materialized before the workers start, then only looked up; one
+# traffic-counter shard per slice, folded after the join) are the
 # cross-thread surfaces (DESIGN.md §15).
 DOPP_SLICE_THREADS=4 ctest --test-dir "$BUILD_DIR" \
     --output-on-failure -j "$(nproc)" \
@@ -104,8 +106,10 @@ echo "sanitize_check: all tests passed under ASan+UBSan"
 
 # Separate TSan pass (thread sanitizer cannot combine with ASan) over
 # the threaded surfaces only: the sliced-LLC suite with worker
-# threads, plus the batch runner and resilience suites that share the
-# 4-wide pool machinery.
+# threads (SlicedLlc.ReplaySerialAndConcurrentAreBitIdentical runs
+# every organization's lock-free concurrent replay repeatedly), plus
+# the batch runner and resilience suites that share the 4-wide pool
+# machinery.
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "$TSAN_DIR" -S . -DDOPP_SANITIZE="thread" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo

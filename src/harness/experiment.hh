@@ -140,11 +140,11 @@ struct RunConfig
 
     /**
      * Per-slice worker threads inside this run. 0 defers to
-     * DOPP_SLICE_THREADS, then 1 (every access on the calling
-     * thread). >1 spawns one persistent worker per slice; results are
-     * bit-identical to sliceThreads=1 by the synchronous-dispatch
-     * contract (sim/sliced_llc.hh), so, like the observation hooks,
-     * this knob is excluded from the config fingerprint.
+     * DOPP_SLICE_THREADS, then 1. >1 spawns one persistent worker per
+     * slice, which only SlicedLlc::replay uses; routed accesses always
+     * run on the calling thread (sim/sliced_llc.hh), so results are
+     * bit-identical to sliceThreads=1 and, like the observation
+     * hooks, this knob is excluded from the config fingerprint.
      */
     u32 sliceThreads = 0;
     /// @}

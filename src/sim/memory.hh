@@ -33,6 +33,10 @@
  *    every approx-routed page to the precise partition (the
  *    QorGuardrail's MIGRATED tier), restoreApproxRoutes() re-applies
  *    the recorded approximate routes when the error estimate recovers.
+ *
+ * Flat, fault-free memory also has a sharded phase (beginSharded /
+ * endSharded) in which one thread per LLC slice accesses it at once
+ * with no lock: the sliced LLC's concurrent replay (DESIGN.md §15.3).
  */
 
 #ifndef DOPP_SIM_MEMORY_HH
@@ -41,13 +45,13 @@
 #include <array>
 #include <cstring>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
 #include "fault/fault_injector.hh"
 #include "sim/mem_tier.hh"
+#include "sim/slice_hash.hh"
+#include "util/logging.hh"
 #include "util/stats.hh"
 #include "util/types.hh"
 
@@ -214,23 +218,60 @@ class MainMemory
      */
     std::function<void(Addr, u8 *, u32, u32)> onBitFlip;
 
+    /** Create the block at @p addr if absent (zero-filled, as first
+     * touch does), with no traffic accounting. */
+    void materialize(Addr addr) { blockAt(blockAlign(addr)); }
+
     /**
-     * Serialize readBlock/writeBlock behind an internal mutex. The
-     * sliced LLC's concurrent replay (sim/sliced_llc.hh) drives
-     * independent slices from worker threads against this one shared
-     * functional store; the lock makes the map inserts and traffic
-     * counters safe, and because every counter is a commutative sum
-     * the totals stay bit-identical to a serial replay. Off (the
-     * default), accesses pay only a predicted branch. The lock is
-     * heap-held so the memory stays movable while disabled; do not
-     * move a MainMemory with concurrent access enabled.
+     * Enter the sharded phase: from here to endSharded(), one thread
+     * per slice may call readBlock/writeBlock at once, with no lock,
+     * provided each thread touches only blocks of its own slice under
+     * (@p shard_count, @p hash) — the routing the sliced LLC front end
+     * uses (sim/sliced_llc.hh) — and only blocks materialized before
+     * this call (any other is fatal). The workers then only find() in
+     * the store, which is const for data races, and each writes only
+     * its own slice's blocks. The traffic counters go to one
+     * cache-line-aligned shard per slice, chosen by sliceOf(), so each
+     * shard has exactly one writer. Fatal on tiered memory and with a
+     * fault hook, a bit-flip observer or a fault injector attached:
+     * their draws and the write-buffer state follow the global access
+     * order, which concurrent slices do not have.
      */
     void
-    setConcurrentAccess(bool on)
+    beginSharded(u32 shard_count, SliceHashKind hash)
     {
-        if (on && !accessLock)
-            accessLock = std::make_unique<std::mutex>();
-        concurrentAccess = on;
+        if (tiered)
+            fatal("main memory: sharded access on tiered memory");
+        if (faultHook)
+            fatal("main memory: sharded access with a fault hook");
+        if (onBitFlip)
+            fatal("main memory: sharded access with a bit-flip "
+                  "observer");
+        if (injector)
+            fatal("main memory: sharded access with a fault injector");
+        DOPP_ASSERT(shards.empty() && shard_count > 0);
+        shards.assign(shard_count, CounterShard{});
+        shardHash = hash;
+    }
+
+    /**
+     * Leave the sharded phase: fold the shards into the traffic
+     * counters in shard order. The sums commute, so every counter is
+     * bit-identical to a serial run of the same accesses.
+     */
+    void
+    endSharded()
+    {
+        // Only these four move in the phase: the other counters need a
+        // fault injector or a write buffer, which beginSharded refuses.
+        PartitionCounters &c = parts[precisePart].c;
+        for (const CounterShard &s : shards) {
+            c.reads += s.c.reads;
+            c.writes += s.c.writes;
+            c.readCycles += s.c.readCycles;
+            c.writeCycles += s.c.writeCycles;
+        }
+        shards.clear();
     }
 
     /**
@@ -241,12 +282,10 @@ class MainMemory
     Tick
     readBlock(Addr addr, u8 *data)
     {
-        const auto guard = lockIfConcurrent();
-        ++demandReads;
         const Addr aligned = blockAlign(addr);
         PartitionState &p = parts[partitionOf(aligned)];
-        ++p.reads;
-        ++p.accesses;
+        PartitionCounters &c = countersFor(p, aligned);
+        ++c.reads;
         StoredBlock &b = blockAt(aligned);
 
         injectReadFaults(p, aligned, b);
@@ -258,11 +297,11 @@ class MainMemory
             if (p.wbufOccupancy >= p.prof.writeBufferDepth) {
                 // Full buffer: the read waits for one drain.
                 lat += p.prof.writeLatency;
-                ++p.wbufStalls;
+                ++c.wbufStalls;
             }
             --p.wbufOccupancy; // the read slot drains one entry
         }
-        p.readCycles += lat;
+        c.readCycles += lat;
         std::memcpy(data, b.bytes.data(), blockBytes);
         return lat;
     }
@@ -276,12 +315,10 @@ class MainMemory
     Tick
     writeBlock(Addr addr, const u8 *data)
     {
-        const auto guard = lockIfConcurrent();
-        ++writebacks;
         const Addr aligned = blockAlign(addr);
         PartitionState &p = parts[partitionOf(aligned)];
-        ++p.writes;
-        ++p.accesses;
+        PartitionCounters &c = countersFor(p, aligned);
+        ++c.writes;
         StoredBlock &b = blockAt(aligned);
         std::memcpy(b.bytes.data(), data, blockBytes);
         b.epoch = currentEpoch(p); // a write rewrites (refreshes) the cells
@@ -290,16 +327,16 @@ class MainMemory
         if (p.prof.writeBufferDepth > 0) {
             if (p.wbufOccupancy < p.prof.writeBufferDepth) {
                 ++p.wbufOccupancy;
-                ++p.wbufHits;
+                ++c.wbufHits;
                 lat = p.prof.bufferedWriteLatency;
             } else {
-                ++p.wbufStalls; // full: wait one full drain
+                ++c.wbufStalls; // full: wait one full drain
                 lat = p.prof.writeLatency;
             }
         } else {
             lat = p.prof.writeLatency;
         }
-        p.writeCycles += lat;
+        c.writeCycles += lat;
         return lat;
     }
 
@@ -363,13 +400,13 @@ class MainMemory
     }
 
     /** Demand block reads since the last resetStats(). */
-    u64 reads() const { return demandReads; }
+    u64 reads() const { return total(&PartitionCounters::reads); }
 
     /** Block writebacks since the last resetStats(). */
-    u64 writes() const { return writebacks; }
+    u64 writes() const { return total(&PartitionCounters::writes); }
 
     /** Total off-chip block transfers. */
-    u64 traffic() const { return demandReads + writebacks; }
+    u64 traffic() const { return reads() + writes(); }
 
     /** Per-partition counters (index < partitionCount()). */
     struct PartitionCounters
@@ -387,17 +424,7 @@ class MainMemory
     PartitionCounters
     partitionCounters(u32 index) const
     {
-        const PartitionState &p = parts[index];
-        PartitionCounters c;
-        c.reads = p.reads;
-        c.writes = p.writes;
-        c.readCycles = p.readCycles;
-        c.writeCycles = p.writeCycles;
-        c.bitFlips = p.bitFlips;
-        c.refreshFaults = p.refreshFaults;
-        c.wbufHits = p.wbufHits;
-        c.wbufStalls = p.wbufStalls;
-        return c;
+        return parts[index].c;
     }
 
     /**
@@ -439,32 +466,32 @@ class MainMemory
                 parts[i].prof.name + " (" +
                 memPartitionKindName(parts[i].prof.kind) + ")";
             pg.counterFn(
-                "reads", [this, i] { return parts[i].reads; },
+                "reads", [this, i] { return parts[i].c.reads; },
                 "demand block reads: " + what);
             pg.counterFn(
-                "writes", [this, i] { return parts[i].writes; },
+                "writes", [this, i] { return parts[i].c.writes; },
                 "block writebacks: " + what);
             pg.counterFn(
                 "readCycles",
-                [this, i] { return parts[i].readCycles; },
+                [this, i] { return parts[i].c.readCycles; },
                 "latency charged to reads: " + what);
             pg.counterFn(
                 "writeCycles",
-                [this, i] { return parts[i].writeCycles; },
+                [this, i] { return parts[i].c.writeCycles; },
                 "latency charged to writes: " + what);
             pg.counterFn(
-                "bitFlips", [this, i] { return parts[i].bitFlips; },
+                "bitFlips", [this, i] { return parts[i].c.bitFlips; },
                 "read-disturb bit flips injected: " + what);
             pg.counterFn(
                 "refreshFaults",
-                [this, i] { return parts[i].refreshFaults; },
+                [this, i] { return parts[i].c.refreshFaults; },
                 "retention flips at refresh epochs: " + what);
             pg.counterFn(
-                "wbufHits", [this, i] { return parts[i].wbufHits; },
+                "wbufHits", [this, i] { return parts[i].c.wbufHits; },
                 "writes absorbed by the write buffer: " + what);
             pg.counterFn(
                 "wbufStalls",
-                [this, i] { return parts[i].wbufStalls; },
+                [this, i] { return parts[i].c.wbufStalls; },
                 "accesses stalled on a full write buffer: " + what);
         }
     }
@@ -473,11 +500,9 @@ class MainMemory
     void
     resetStats()
     {
-        demandReads = 0;
-        writebacks = 0;
         for (PartitionState &p : parts) {
-            const MemPartitionProfile prof = p.prof;
-            p = PartitionState{prof};
+            p.c = {};
+            p.wbufOccupancy = 0;
         }
     }
 
@@ -493,17 +518,38 @@ class MainMemory
     struct PartitionState
     {
         MemPartitionProfile prof;
-        u64 reads = 0;
-        u64 writes = 0;
-        u64 readCycles = 0;
-        u64 writeCycles = 0;
-        u64 bitFlips = 0;
-        u64 refreshFaults = 0;
-        u64 wbufHits = 0;
-        u64 wbufStalls = 0;
-        u64 accesses = 0;      ///< drives the refresh-epoch clock
+        PartitionCounters c = {};
         u32 wbufOccupancy = 0; ///< buffered writes outstanding
     };
+
+    /** Traffic counters of one slice in the sharded phase, one cache
+     * line each so concurrent slices never share a line. */
+    struct alignas(64) CounterShard
+    {
+        PartitionCounters c = {};
+    };
+
+    /** Sum of @p field over every partition. */
+    u64
+    total(u64 PartitionCounters::*field) const
+    {
+        u64 n = 0;
+        for (const PartitionState &p : parts)
+            n += p.c.*field;
+        return n;
+    }
+
+    /** Counters an access to @p aligned in @p p bumps: the
+     * partition's own, or in the sharded phase its slice's shard. */
+    PartitionCounters &
+    countersFor(PartitionState &p, Addr aligned)
+    {
+        if (shards.empty())
+            return p.c;
+        return shards[sliceOf(aligned, static_cast<u32>(shards.size()),
+                              shardHash)]
+            .c;
+    }
 
     /** Page number of @p addr (4 KiB pages, matching the runtime's
      * page-aligned allocator). */
@@ -512,8 +558,9 @@ class MainMemory
     static u64
     currentEpoch(const PartitionState &p)
     {
+        // Every read and write of the partition ticks the clock.
         return p.prof.refreshIntervalAccesses
-            ? p.accesses / p.prof.refreshIntervalAccesses
+            ? (p.c.reads + p.c.writes) / p.prof.refreshIntervalAccesses
             : 0;
     }
 
@@ -540,7 +587,7 @@ class MainMemory
             for (u64 e = 0; e < elapsed; ++e) {
                 if (injector->drawRate(p.prof.refreshFaultRate)) {
                     flipOne(aligned, b, partIdx);
-                    ++p.refreshFaults;
+                    ++p.c.refreshFaults;
                 }
             }
             b.epoch = epoch; // the read scrubs accumulated epochs
@@ -548,7 +595,7 @@ class MainMemory
         if (p.prof.bitErrorRate > 0.0 &&
             injector->drawRate(p.prof.bitErrorRate)) {
             flipOne(aligned, b, partIdx);
-            ++p.bitFlips;
+            ++p.c.bitFlips;
         }
     }
 
@@ -569,17 +616,17 @@ class MainMemory
     StoredBlock &
     blockAt(Addr aligned)
     {
-        return store[aligned]; // zero-fills on first touch
-    }
-
-    /** Hold the access lock for the caller's scope when concurrent
-     * access is enabled; a no-op (empty lock) otherwise. */
-    std::unique_lock<std::mutex>
-    lockIfConcurrent()
-    {
-        return concurrentAccess
-            ? std::unique_lock<std::mutex>(*accessLock)
-            : std::unique_lock<std::mutex>();
+        if (shards.empty())
+            return store[aligned]; // zero-fills on first touch
+        // Sharded phase: find() never writes the map, so concurrent
+        // slices may call it (see beginSharded).
+        const auto it = store.find(aligned);
+        if (it == store.end()) {
+            fatal("main memory: sharded access to unmaterialized "
+                  "block %#llx",
+                  static_cast<unsigned long long>(aligned));
+        }
+        return it->second;
     }
 
     struct RouteSpan
@@ -600,11 +647,9 @@ class MainMemory
     bool migratedNow = false;
     u64 migrations_ = 0;
     u64 pagesMigrated_ = 0;
-    u64 demandReads = 0;
-    u64 writebacks = 0;
     FaultInjector *injector = nullptr;
-    std::unique_ptr<std::mutex> accessLock;
-    bool concurrentAccess = false;
+    std::vector<CounterShard> shards; ///< non-empty only while sharded
+    SliceHashKind shardHash = SliceHashKind::BitSelect;
 };
 
 } // namespace dopp

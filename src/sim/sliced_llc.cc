@@ -15,13 +15,10 @@ namespace dopp
 // ---------------------------------------------------------------------
 
 /**
- * One persistent worker thread per slice. run() is a synchronous
- * handoff (post + wait) used by the routed fetch/writeback path;
- * runAll() posts one job per worker and waits for all of them, which
- * is the only place two slices execute concurrently. The mutex
- * handoff orders every write the worker makes before the caller's
- * return, so synchronous dispatch is race-free by construction. Jobs
- * must not throw.
+ * One persistent worker thread per slice, serving replay(): runAll()
+ * posts one job per worker and waits for all of them. The mutex
+ * handoff orders every write a worker makes before runAll() returns.
+ * Jobs must not throw.
  */
 class SliceWorkerPool
 {
@@ -51,14 +48,6 @@ class SliceWorkerPool
     }
 
     u32 size() const { return static_cast<u32>(slots.size()); }
-
-    /** Run @p job on worker @p i and wait for it to finish. */
-    void
-    run(u32 i, const std::function<void()> &job)
-    {
-        post(i, job);
-        wait(i);
-    }
 
     /** Run jobs[i] on worker i, all concurrently; wait for all.
      * @pre jobs.size() == size(). */
@@ -170,24 +159,13 @@ SlicedLlc::workerThreads() const
 LastLevelCache::FetchResult
 SlicedLlc::fetch(Addr addr, u8 *data)
 {
-    LastLevelCache &s = *subs[sliceOfAddr(addr)];
-    if (!workers)
-        return s.fetch(addr, data);
-    FetchResult r;
-    workers->run(sliceOfAddr(addr),
-                 [&] { r = s.fetch(addr, data); });
-    return r;
+    return subs[sliceOfAddr(addr)]->fetch(addr, data);
 }
 
 void
 SlicedLlc::writeback(Addr addr, const u8 *data)
 {
-    LastLevelCache &s = *subs[sliceOfAddr(addr)];
-    if (!workers) {
-        s.writeback(addr, data);
-        return;
-    }
-    workers->run(sliceOfAddr(addr), [&] { s.writeback(addr, data); });
+    subs[sliceOfAddr(addr)]->writeback(addr, data);
 }
 
 bool
@@ -286,15 +264,9 @@ void
 SlicedLlc::replay(const std::vector<SliceOp> &ops, bool concurrent)
 {
     const bool parallel = concurrent && workers != nullptr;
-    if (parallel) {
-        if (faults || guardrail || prof) {
-            fatal("sliced llc: concurrent replay with a fault "
-                  "injector, guardrail or hot-path profile attached");
-        }
-        if (mem.isTiered()) {
-            fatal("sliced llc: concurrent replay on tiered memory "
-                  "(write-buffer state would order across slices)");
-        }
+    if (parallel && (faults || guardrail || prof)) {
+        fatal("sliced llc: concurrent replay with a fault "
+              "injector, guardrail or hot-path profile attached");
     }
 
     std::vector<std::vector<SliceOp>> parts(sliceCount());
@@ -323,7 +295,14 @@ SlicedLlc::replay(const std::vector<SliceOp> &ops, bool concurrent)
         return;
     }
 
-    mem.setConcurrentAccess(true);
+    // A slice touches memory only at its ops' blocks and at its
+    // victims, and every victim was fetched, which materialized it
+    // (a writeback that misses goes to memory at its own address).
+    // So after this loop every store access of the workers is a
+    // lookup.
+    for (const SliceOp &op : ops)
+        mem.materialize(op.addr);
+    mem.beginSharded(sliceCount(), hash);
     std::vector<std::function<void()>> jobs;
     jobs.reserve(sliceCount());
     for (u32 i = 0; i < sliceCount(); ++i) {
@@ -331,7 +310,7 @@ SlicedLlc::replay(const std::vector<SliceOp> &ops, bool concurrent)
             [&drive, this, i, &parts] { drive(*subs[i], parts[i]); });
     }
     workers->runAll(jobs);
-    mem.setConcurrentAccess(false);
+    mem.endSharded();
 }
 
 } // namespace dopp

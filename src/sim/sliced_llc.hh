@@ -8,24 +8,29 @@
  * once per slice, so baseline, split/uni Doppelgänger, dedup and BDI
  * can all be sliced without per-organization edits.
  *
- * Determinism contract (the PR 2 acceptance bar):
- *  - Hierarchy-driven runs with worker threads use *synchronous*
- *    dispatch: the calling thread hands each access to the owning
- *    slice's persistent worker and blocks until it completes. There
- *    is no concurrency between slices, so shared state (the backing
- *    memory, the fault injector's Rng, the guardrail, inclusive
- *    back-invalidation into the private caches) sees exactly the
- *    serial access order — sliceThreads=1 and sliceThreads=N are
- *    bit-identical by construction.
+ * Determinism contract:
+ *  - Hierarchy-driven (routed) fetch/writeback always run on the
+ *    calling thread, so shared state (the backing memory, the fault
+ *    injector's Rng, the guardrail, inclusive back-invalidation into
+ *    the private caches) sees exactly the serial access order, and
+ *    sliceThreads=1 and sliceThreads=N are bit-identical by
+ *    construction. Worker threads serve replay() only.
  *  - Genuine parallelism is confined to replay(): a direct-drive
  *    fetch/writeback stream is partitioned by slice hash up front and
- *    the partitions run concurrently, one worker per slice. Slices
- *    share nothing but the functional backing store (locked via
- *    MainMemory::setConcurrentAccess; its counters are commutative
- *    sums), so per-slice state and merged stats are again
- *    bit-identical to a serial replay. Concurrent replay refuses
- *    fault injectors, guardrails, hot-path profiles and tiered
- *    memory — each would make cross-slice ordering observable.
+ *    the partitions run concurrently, one worker per slice, with no
+ *    lock and no shared mutable state. Before the workers start,
+ *    replay() materializes the block of every op in the backing
+ *    memory (victims were materialized when they were fetched), so
+ *    workers only look blocks up and each writes only its own slice's
+ *    blocks; traffic counters go to one counter shard per slice
+ *    (MainMemory::beginSharded) and fold back in slice order after
+ *    the join. The sums commute, so per-slice state, memory contents
+ *    and merged stats are bit-identical to a serial replay.
+ *    Concurrent replay is fatal with an LLC fault injector, a
+ *    guardrail or a hot-path profile attached, on tiered memory, and
+ *    with a memory fault hook, bit-flip observer or fault injector
+ *    attached — each would draw or order by the global access
+ *    sequence, which concurrent slices do not have.
  */
 
 #ifndef DOPP_SIM_SLICED_LLC_HH
@@ -50,8 +55,8 @@ class SlicedLlc : public LastLevelCache
      * @param slices one factory-built sub-LLC per slice (their
      *        counters already live under per-slice stat groups)
      * @param hash slice-selection policy
-     * @param worker_threads per-slice worker threads; 1 (or 0) keeps
-     *        every access on the calling thread
+     * @param worker_threads > 1 starts one worker per slice for
+     *        concurrent replay(); routed accesses never use them
      */
     SlicedLlc(MainMemory &memory,
               std::vector<std::unique_ptr<LastLevelCache>> slices,
@@ -107,9 +112,8 @@ class SlicedLlc : public LastLevelCache
      * per slice) when @p concurrent is set and worker threads exist,
      * serially otherwise. Writebacks store a deterministic in-range
      * F32 pattern derived from the address. Per-slice results are
-     * bit-identical either way (see the determinism contract above);
-     * concurrent replay is fatal with a fault injector, guardrail or
-     * hot-path profile attached, or on tiered memory.
+     * bit-identical either way (see the determinism contract above,
+     * which also lists the configurations concurrent replay refuses).
      */
     void replay(const std::vector<SliceOp> &ops, bool concurrent);
 

@@ -240,8 +240,9 @@ TEST(Journal, FingerprintDistinguishesSliceFields)
     c.sliceCount = 1;
     EXPECT_NE(configFingerprint(c), fp);
 
-    // sliceThreads is result-neutral by the synchronous-dispatch
-    // contract: threads=1 and threads=N must share a journal record.
+    // sliceThreads is result-neutral (routed runs never use slice
+    // worker threads): threads=1 and threads=N must share a journal
+    // record.
     c = base;
     c.sliceCount = 4;
     c.sliceThreads = 1;

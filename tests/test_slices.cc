@@ -479,40 +479,188 @@ TEST(SlicedLlc, StatsSumSlicesAndMergeMatchesView)
     EXPECT_EQ(snap.counter("llc.fetches"), 32u);
 }
 
-TEST(SlicedLlc, ReplaySerialAndConcurrentAreBitIdentical)
+namespace
 {
-    // Same op stream through a serial and a 4-worker concurrent
-    // replay: per-slice stats and memory traffic must match exactly.
+
+/** Deterministic replay stream over 8192 blocks, about half writes. */
+std::vector<SlicedLlc::SliceOp>
+replayOps(int count)
+{
     std::vector<SlicedLlc::SliceOp> ops;
     u64 x = 0x9E3779B97F4A7C15ULL;
-    for (int i = 0; i < 20000; ++i) {
+    for (int i = 0; i < count; ++i) {
         x = x * 6364136223846793005ULL + 1442695040888963407ULL;
         SlicedLlc::SliceOp op;
         op.addr = ((x >> 17) % 8192) << blockOffsetBits;
         op.isWrite = (x & 1) != 0;
         ops.push_back(op);
     }
+    return ops;
+}
 
-    auto run = [&](u32 threads, bool concurrent) {
-        MainMemory mem;
-        StatRegistry stats;
-        auto llc = makeSliced(mem, stats, threads);
-        llc->replay(ops, concurrent);
-        struct Out
-        {
-            LlcStats llc;
-            u64 reads, writes;
-        } out{llc->stats(), mem.reads(), mem.writes()};
-        return out;
-    };
-    const auto serial = run(1, false);
-    const auto conc = run(4, true);
-    EXPECT_EQ(serial.llc.fetches, conc.llc.fetches);
-    EXPECT_EQ(serial.llc.fetchHits, conc.llc.fetchHits);
-    EXPECT_EQ(serial.llc.evictions, conc.llc.evictions);
-    EXPECT_EQ(serial.llc.dirtyWritebacks, conc.llc.dirtyWritebacks);
-    EXPECT_EQ(serial.reads, conc.reads);
-    EXPECT_EQ(serial.writes, conc.writes);
+/** Everything a replay leaves behind that must not depend on
+ * whether the slices ran concurrently. */
+struct ReplayOutcome
+{
+    StatSnapshot stats;
+    u64 memReads = 0, memWrites = 0, readCycles = 0, writeCycles = 0;
+    std::vector<u8> bytes; ///< stored block of every op, in op order
+
+    bool
+    operator==(const ReplayOutcome &o) const
+    {
+        return stats == o.stats && memReads == o.memReads &&
+            memWrites == o.memWrites && readCycles == o.readCycles &&
+            writeCycles == o.writeCycles && bytes == o.bytes;
+    }
+};
+
+/** Replay @p ops into a factory-built 4-slice @p org (64 KiB per
+ * slice, so slices evict; the low half of the blocks approximate). */
+ReplayOutcome
+replayFactoryOrg(const std::string &org, const char *hash,
+                 const std::vector<SlicedLlc::SliceOp> &ops,
+                 bool concurrent)
+{
+    RunConfig cfg;
+    cfg.llcName = org;
+    cfg.baselineBytes = 256 * 1024;
+    cfg.sliceCount = 4;
+    cfg.sliceHash = hash;
+    cfg.sliceThreads = concurrent ? 4 : 1;
+
+    MainMemory mem;
+    ApproxRegistry registry;
+    ApproxRegion region;
+    region.size = 4096 * blockBytes;
+    region.name = "replay";
+    registry.add(region);
+    StatRegistry stats;
+    mem.registerStats(stats.group("mem"));
+    LlcBuilt built = buildLlc(org, mem, registry, cfg, stats);
+    auto *sliced = dynamic_cast<SlicedLlc *>(built.llc.get());
+    if (!sliced)
+        ADD_FAILURE() << org << ": not a sliced LLC";
+    else
+        sliced->replay(ops, concurrent);
+
+    ReplayOutcome out;
+    out.stats = stats.snapshot();
+    out.memReads = mem.reads();
+    out.memWrites = mem.writes();
+    const MainMemory::PartitionCounters p0 = mem.partitionCounters(0);
+    out.readCycles = p0.readCycles;
+    out.writeCycles = p0.writeCycles;
+    out.bytes.resize(ops.size() * blockBytes);
+    for (size_t i = 0; i < ops.size(); ++i)
+        mem.peek(ops[i].addr, &out.bytes[i * blockBytes], blockBytes);
+    return out;
+}
+
+} // namespace
+
+TEST(SlicedLlc, ReplaySerialAndConcurrentAreBitIdentical)
+{
+    // Every registered organization, both hashes: the full stat
+    // snapshot, memory traffic and cycle counters and the stored bytes
+    // must match a serial replay exactly. The concurrent side repeats
+    // so a race has room to show.
+    const std::vector<SlicedLlc::SliceOp> ops = replayOps(20000);
+    for (const std::string &org : registeredLlcNames()) {
+        for (const char *hash : {"bitselect", "sandybridge"}) {
+            SCOPED_TRACE(org + " / " + hash);
+            const ReplayOutcome serial =
+                replayFactoryOrg(org, hash, ops, false);
+            EXPECT_GT(serial.memReads, 0u);
+            EXPECT_GT(serial.memWrites, 0u);
+            for (int rep = 0; rep < 3; ++rep)
+                EXPECT_TRUE(replayFactoryOrg(org, hash, ops, true) ==
+                            serial)
+                    << "repeat " << rep;
+        }
+    }
+}
+
+namespace
+{
+
+/** Concurrent replay over @p mem after @p attach must exit with a
+ * message matching @p what. */
+void
+expectConcurrentReplayRefused(
+    MainMemory &mem, const std::function<void(SlicedLlc &)> &attach,
+    const char *what)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    StatRegistry stats;
+    auto llc = makeSliced(mem, stats, 4);
+    attach(*llc);
+    const std::vector<SlicedLlc::SliceOp> ops = replayOps(64);
+    EXPECT_EXIT(llc->replay(ops, true), testing::ExitedWithCode(1),
+                what);
+}
+
+} // namespace
+
+TEST(SlicedLlcDeathTest, ConcurrentReplayRefusesLlcFaultInjector)
+{
+    MainMemory mem;
+    FaultInjector fi(FaultConfig{});
+    expectConcurrentReplayRefused(
+        mem, [&](SlicedLlc &l) { l.setFaultInjector(&fi); },
+        "fault injector, guardrail or hot-path profile");
+}
+
+TEST(SlicedLlcDeathTest, ConcurrentReplayRefusesGuardrail)
+{
+    MainMemory mem;
+    QorGuardrail g(QorConfig{});
+    expectConcurrentReplayRefused(
+        mem, [&](SlicedLlc &l) { l.setGuardrail(&g); },
+        "fault injector, guardrail or hot-path profile");
+}
+
+TEST(SlicedLlcDeathTest, ConcurrentReplayRefusesHotPathProfile)
+{
+    MainMemory mem;
+    HotPathProfile prof;
+    expectConcurrentReplayRefused(
+        mem, [&](SlicedLlc &l) { l.setHotPathProfile(&prof); },
+        "fault injector, guardrail or hot-path profile");
+}
+
+TEST(SlicedLlcDeathTest, ConcurrentReplayRefusesTieredMemory)
+{
+    MainMemory mem(defaultMemTier());
+    expectConcurrentReplayRefused(
+        mem, [](SlicedLlc &) {}, "sharded access on tiered memory");
+}
+
+TEST(SlicedLlcDeathTest, ConcurrentReplayRefusesMemoryFaultHook)
+{
+    MainMemory mem;
+    mem.faultHook = [](Addr, u8 *) {};
+    expectConcurrentReplayRefused(
+        mem, [](SlicedLlc &) {}, "sharded access with a fault hook");
+}
+
+TEST(SlicedLlcDeathTest, ConcurrentReplayRefusesBitFlipObserver)
+{
+    MainMemory mem;
+    mem.onBitFlip = [](Addr, u8 *, u32, u32) {};
+    expectConcurrentReplayRefused(
+        mem, [](SlicedLlc &) {},
+        "sharded access with a bit-flip observer");
+}
+
+TEST(SlicedLlcDeathTest, ConcurrentReplayRefusesMemoryFaultInjector)
+{
+    MainMemory mem;
+    FaultInjector fi(FaultConfig{});
+    mem.setFaultInjector(&fi);
+    expectConcurrentReplayRefused(
+        mem, [](SlicedLlc &) {},
+        "sharded access with a fault injector");
 }
 
 // ---------------------------------------------------------------------
@@ -600,8 +748,8 @@ TEST(SlicePins, FactoryOrganizationsWorkerThreadsAreBitIdentical)
 TEST(SlicePins, ThreadIdentityHoldsUnderFaultsAndGuardrail)
 {
     // Shared mutable state (the fault injector's Rng, the guardrail
-    // EWMA) is the reason routed dispatch is synchronous; a faulted +
-    // guardrailed run is where a concurrency leak would show first.
+    // EWMA) is the reason routed accesses stay on the calling thread;
+    // a faulted + guardrailed run is where a leak would show first.
     auto faulted = [](u32 threads) {
         RunConfig cfg = tinyRun(LlcKind::SplitDopp);
         cfg.sliceCount = 4;
