@@ -37,11 +37,11 @@ runSuite(const std::string &title, const std::vector<Variant> &variants)
     std::vector<RunConfig> configs;
     for (const auto &name : subset) {
         RunConfig base = defaultConfig(name);
-        base.kind = LlcKind::Baseline;
+        base.llcName = "baseline";
         configs.push_back(std::move(base));
         for (const auto &v : variants) {
             RunConfig cfg = defaultConfig(name);
-            cfg.kind = LlcKind::SplitDopp;
+            cfg.llcName = "split-doppelganger";
             v.apply(cfg);
             configs.push_back(std::move(cfg));
         }
@@ -116,20 +116,20 @@ main()
                }}});
 
     runSuite("Lossless organizations (error must be zero)",
-             {{"BdI LLC", [](RunConfig &c) { c.kind = LlcKind::Bdi; }},
+             {{"BdI LLC", [](RunConfig &c) { c.llcName = "bdi"; }},
               {"dedup LLC", [](RunConfig &c) {
-                   c.kind = LlcKind::Dedup;
+                   c.llcName = "dedup";
                }}});
 
     // Sec 5.2 future work: per-use ranges for swaptions' rates.
     {
         std::vector<RunConfig> configs;
         RunConfig base = defaultConfig("swaptions");
-        base.kind = LlcKind::Baseline;
+        base.llcName = "baseline";
         configs.push_back(std::move(base));
         for (const bool perUse : {false, true}) {
             RunConfig cfg = defaultConfig("swaptions");
-            cfg.kind = LlcKind::SplitDopp;
+            cfg.llcName = "split-doppelganger";
             cfg.workload.perUseRanges = perUse;
             configs.push_back(std::move(cfg));
         }

@@ -71,8 +71,8 @@ main()
 {
     const std::vector<std::string> names = campaignWorkloads();
     const double rates[] = {1e-4, 1e-3, 1e-2};
-    const LlcKind kinds[] = {LlcKind::Baseline, LlcKind::SplitDopp,
-                             LlcKind::UniDopp};
+    const std::string orgs[] = {"baseline", "split-doppelganger",
+                                "uniDoppelganger"};
     const double budget = envDouble("DOPP_QOR_BUDGET", 0.002);
 
     // One batch for the whole campaign: per workload, the precise
@@ -82,24 +82,24 @@ main()
     std::vector<std::array<CellIndex, 3>> cells(names.size());
     for (size_t w = 0; w < names.size(); ++w) {
         RunConfig base = defaultConfig(names[w]);
-        base.kind = LlcKind::Baseline;
+        base.llcName = "baseline";
         preciseIdx[w] = configs.size();
         configs.push_back(std::move(base));
 
         for (size_t k = 0; k < 3; ++k) {
             for (size_t i = 0; i < 3; ++i) {
                 RunConfig cfg = defaultConfig(names[w]);
-                cfg.kind = kinds[k];
+                cfg.llcName = orgs[k];
                 cfg.fault = rateConfig(rates[i]);
                 cells[w][k].rates[i] = configs.size();
                 configs.push_back(std::move(cfg));
             }
             // Guardrail study at the highest rate (the baseline has no
             // approximate fill path to degrade, so skip it).
-            if (kinds[k] == LlcKind::Baseline)
+            if (orgs[k] == "baseline")
                 continue;
             RunConfig cfg = defaultConfig(names[w]);
-            cfg.kind = kinds[k];
+            cfg.llcName = orgs[k];
             cfg.fault = rateConfig(rates[2]);
             cfg.qor.budget = budget;
             cells[w][k].guard = configs.size();
@@ -124,8 +124,7 @@ main()
 
         for (size_t k = 0; k < 3; ++k) {
             const CellIndex &cell = cells[w][k];
-            std::vector<std::string> erow = {name,
-                                             llcKindName(kinds[k])};
+            std::vector<std::string> erow = {name, orgs[k]};
             for (size_t i = 0; i < 3; ++i) {
                 const RunResult &r = results[cell.rates[i]];
                 erow.push_back(pct(workloadOutputError(
@@ -134,7 +133,7 @@ main()
             err.row(std::move(erow));
 
             const RunResult &top = results[cell.rates[2]];
-            rep.row({name, llcKindName(kinds[k]),
+            rep.row({name, orgs[k],
                      strfmt("%llu", static_cast<unsigned long long>(
                                         top.fault.totalInjected())),
                      strfmt("%llu", static_cast<unsigned long long>(
@@ -149,7 +148,7 @@ main()
             if (cell.guard == SIZE_MAX)
                 continue;
             const RunResult &on = results[cell.guard];
-            guard.row({name, llcKindName(kinds[k]),
+            guard.row({name, orgs[k],
                        pct(workloadOutputError(name, top.output,
                                                precise.output)),
                        pct(workloadOutputError(name, on.output,

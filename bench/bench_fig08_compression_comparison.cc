@@ -32,7 +32,7 @@ main()
     std::vector<RunConfig> configs;
     for (size_t w = 0; w < names.size(); ++w) {
         RunConfig cfg = defaultConfig(names[w]);
-        cfg.kind = LlcKind::Baseline;
+        cfg.llcName = "baseline";
         cfg.snapshotPeriod = snapshotPeriod();
         auto *a = &avg[w];
         cfg.onSnapshot = [a, cap](const Snapshot &snap) {

@@ -24,14 +24,13 @@ main()
     const unsigned mapBits[] = {12, 13, 14};
     struct Org
     {
-        const char *label;  ///< table label
-        LlcKind kind;       ///< used when @ref name is empty
-        const char *name;   ///< factory name ("" = use kind)
+        const char *label; ///< table label
+        const char *name;  ///< factory name
     };
     const Org orgs[] = {
-        {"split Dopp", LlcKind::SplitDopp, ""},
-        {"uniDoppBdi", LlcKind::Baseline, "uniDoppBdi"},
-        {"approxDedup", LlcKind::Baseline, "approxDedup"},
+        {"split Dopp", "split-doppelganger"},
+        {"uniDoppBdi", "uniDoppBdi"},
+        {"approxDedup", "approxDedup"},
     };
     const auto &names = workloadNames();
 
@@ -42,12 +41,11 @@ main()
     std::vector<RunConfig> configs;
     for (const auto &name : names) {
         RunConfig base = defaultConfig(name);
-        base.kind = LlcKind::Baseline;
+        base.llcName = "baseline";
         configs.push_back(std::move(base));
         for (const Org &org : orgs) {
             for (unsigned bits : mapBits) {
                 RunConfig cfg = defaultConfig(name);
-                cfg.kind = org.kind;
                 cfg.llcName = org.name;
                 cfg.mapBits = bits;
                 cfg.dataFraction = 0.25;

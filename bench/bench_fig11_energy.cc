@@ -28,11 +28,11 @@ main()
     std::vector<RunConfig> configs;
     for (const auto &name : names) {
         RunConfig base = defaultConfig(name);
-        base.kind = LlcKind::Baseline;
+        base.llcName = "baseline";
         configs.push_back(std::move(base));
         for (double fraction : fractions) {
             RunConfig cfg = defaultConfig(name);
-            cfg.kind = LlcKind::SplitDopp;
+            cfg.llcName = "split-doppelganger";
             cfg.dataFraction = fraction;
             configs.push_back(std::move(cfg));
         }

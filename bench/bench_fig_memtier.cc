@@ -113,29 +113,29 @@ main()
     std::vector<Cell> cells(names.size());
     for (size_t w = 0; w < names.size(); ++w) {
         RunConfig precise = defaultConfig(names[w]);
-        precise.kind = LlcKind::Baseline;
+        precise.llcName = "baseline";
         cells[w].precise = configs.size();
         configs.push_back(std::move(precise));
 
         RunConfig cacheOnly = defaultConfig(names[w]);
-        cacheOnly.kind = LlcKind::SplitDopp;
+        cacheOnly.llcName = "split-doppelganger";
         cells[w].cacheOnly = configs.size();
         configs.push_back(std::move(cacheOnly));
 
         RunConfig memOnly = defaultConfig(names[w]);
-        memOnly.kind = LlcKind::Baseline;
+        memOnly.llcName = "baseline";
         memOnly.memTier = tier;
         cells[w].memOnly = configs.size();
         configs.push_back(std::move(memOnly));
 
         RunConfig both = defaultConfig(names[w]);
-        both.kind = LlcKind::SplitDopp;
+        both.llcName = "split-doppelganger";
         both.memTier = tier;
         cells[w].both = configs.size();
         configs.push_back(std::move(both));
 
         RunConfig guarded = defaultConfig(names[w]);
-        guarded.kind = LlcKind::SplitDopp;
+        guarded.llcName = "split-doppelganger";
         guarded.memTier = tier;
         guarded.qor.budget = budget;
         guarded.qor.migrateFactor = 1.5;

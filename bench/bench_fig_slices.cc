@@ -77,7 +77,7 @@ main()
     std::vector<RunConfig> configs;
     for (const std::string &w : workloads) {
         RunConfig precise = defaultConfig(w);
-        precise.kind = LlcKind::Baseline;
+        precise.llcName = "baseline";
         configs.push_back(std::move(precise));
 
         for (const std::string &org : orgs) {
@@ -93,14 +93,14 @@ main()
         }
         for (u32 count : sliceCounts) {
             RunConfig cfg = defaultConfig(w);
-            cfg.kind = LlcKind::SplitDopp;
+            cfg.llcName = "split-doppelganger";
             cfg.sliceCount = count;
             cfg.sliceHash = "sandybridge";
             configs.push_back(std::move(cfg));
         }
         for (u32 count : sliceCounts) {
             RunConfig cfg = defaultConfig(w);
-            cfg.kind = LlcKind::SplitDopp;
+            cfg.llcName = "split-doppelganger";
             cfg.sliceCount = count;
             cfg.mapSpaceMode = MapSpaceMode::PerSlice;
             configs.push_back(std::move(cfg));
@@ -140,7 +140,7 @@ main()
     // organization's bitselect rows live in the per-org section.
     const size_t splitIdx = [&] {
         for (size_t o = 0; o < orgs.size(); ++o)
-            if (orgs[o] == llcKindName(LlcKind::SplitDopp))
+            if (orgs[o] == "split-doppelganger")
                 return o;
         fatal("split organization missing from the factory");
     }();

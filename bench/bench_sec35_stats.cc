@@ -20,7 +20,7 @@ main()
     std::vector<RunConfig> configs;
     for (const auto &name : names) {
         RunConfig cfg = defaultConfig(name);
-        cfg.kind = LlcKind::SplitDopp; // base config: 14-bit, 1/4
+        cfg.llcName = "split-doppelganger"; // base config: 14-bit, 1/4
         configs.push_back(std::move(cfg));
     }
     const std::vector<RunResult> results = runCampaign(configs);

@@ -35,8 +35,9 @@
  *                         a power of two)
  *   DOPP_SLICE_HASH       slice-selection policy, "bitselect"
  *                         (default) or "sandybridge"
- *   DOPP_SLICE_THREADS    per-slice worker threads (default 1);
- *                         result-neutral: routed runs never use them
+ *   DOPP_SLICE_THREADS    >1 allows concurrent slice replay (default
+ *                         1); result-neutral: routed runs start no
+ *                         threads
  */
 
 #ifndef DOPP_BENCH_COMMON_HH
@@ -54,6 +55,7 @@
 #include "harness/batch_runner.hh"
 #include "harness/campaign_service.hh"
 #include "harness/experiment.hh"
+#include "harness/llc_factory.hh"
 #include "harness/report.hh"
 #include "util/env.hh"
 #include "util/fileio.hh"
@@ -122,11 +124,21 @@ defaultConfig(const std::string &workload)
  * arms a per-run watchdog and DOPP_MAX_RETRIES bounds retries.
  *
  * Any failed run is fatal: bench sweeps have no use for partial
- * figures.
+ * figures. So is an unknown workload or organization name, checked
+ * before any run starts rather than after the rest of the sweep.
  */
 inline std::vector<RunResult>
 runCampaign(const std::vector<RunConfig> &configs)
 {
+    for (const RunConfig &cfg : configs) {
+        if (!knownWorkload(cfg.workloadName))
+            fatal("unknown workload '%s'", cfg.workloadName.c_str());
+        if (!llcRegistered(cfg.llcName)) {
+            fatal("organization '%s' is not registered",
+                  cfg.llcName.c_str());
+        }
+    }
+
     BatchOptions opt;
     opt.cancel = installBatchSignalHandler();
     opt.runTimeoutMs = envU64("DOPP_RUN_TIMEOUT_MS", 0);

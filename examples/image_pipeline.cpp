@@ -29,7 +29,7 @@ main(int argc, char **argv)
 
     std::printf("JPEG pipeline on the baseline 2 MB LLC...\n");
     RunConfig base;
-    base.kind = LlcKind::Baseline;
+    base.llcName = "baseline";
     base.workload.scale = 1.0;
     const RunResult precise = runWorkload("jpeg", base);
 
@@ -37,7 +37,7 @@ main(int argc, char **argv)
                 "(M=%u, %g data array)...\n",
                 mapBits, fraction);
     RunConfig cfg = base;
-    cfg.kind = LlcKind::SplitDopp;
+    cfg.llcName = "split-doppelganger";
     cfg.mapBits = mapBits;
     cfg.dataFraction = fraction;
 

@@ -32,7 +32,7 @@ main(int argc, char **argv)
     std::printf("recording a %s run (scale %.2f) to %s ...\n",
                 workload.c_str(), scale, path.c_str());
     RunConfig cfg;
-    cfg.kind = LlcKind::Baseline;
+    cfg.llcName = "baseline";
     cfg.workload.scale = scale;
     cfg.tracePath = path;
     const RunResult original = runWorkload(workload, cfg);

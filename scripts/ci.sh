@@ -221,8 +221,8 @@ fi
 # Sliced-LLC identity gates (DESIGN.md §15). Two byte-identical diffs:
 #  - unsliced vs DOPP_SLICES=1: a single-slice SlicedLlc front end
 #    must not perturb any result.
-#  - DOPP_SLICES=4 with 1 vs 4 worker threads: routed accesses
-#    never use the slice workers, so threading is invisible to results.
+#  - DOPP_SLICES=4 with 1 vs 4 slice threads: routed runs start no
+#    slice thread, so the knob is invisible to results.
 # slices=1 vs slices=4 is deliberately NOT diffed: slicing genuinely
 # changes capacity partitioning and — for the content-indexed
 # organizations — the dedup pool structure, so those runs differ by

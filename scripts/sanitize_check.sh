@@ -93,9 +93,9 @@ DOPP_JOBS=4 ctest --test-dir "$BUILD_DIR" --output-on-failure \
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
     -R 'Campaign|AppendLogExclusive|ClaimStore|JournalTail' "$@"
 
-# Re-run the sliced-LLC suite with worker threads forced on: the
-# slice worker pool, the merge closures capturing per-slice counters
-# and the concurrent replay's lock-free memory path (blocks
+# Re-run the sliced-LLC suite with concurrent replay allowed: the
+# replay's per-slice threads, the merge closures capturing per-slice
+# counters and the concurrent replay's lock-free memory path (blocks
 # materialized before the workers start, then only looked up; one
 # traffic-counter shard per slice, folded after the join) are the
 # cross-thread surfaces (DESIGN.md §15).
@@ -105,8 +105,8 @@ DOPP_SLICE_THREADS=4 ctest --test-dir "$BUILD_DIR" \
 echo "sanitize_check: all tests passed under ASan+UBSan"
 
 # Separate TSan pass (thread sanitizer cannot combine with ASan) over
-# the threaded surfaces only: the sliced-LLC suite with worker
-# threads (SlicedLlc.ReplaySerialAndConcurrentAreBitIdentical runs
+# the threaded surfaces only: the sliced-LLC suite with concurrent
+# replay (SlicedLlc.ReplaySerialAndConcurrentAreBitIdentical runs
 # every organization's lock-free concurrent replay repeatedly), plus
 # the batch runner and resilience suites that share the 4-wide pool
 # machinery.

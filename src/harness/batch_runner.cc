@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include "harness/journal.hh"
+#include "harness/llc_factory.hh"
 #include "util/env.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
@@ -219,8 +220,7 @@ void
 markFailed(RunResult &r, const RunConfig &cfg, const std::string &why)
 {
     r.workload = cfg.workloadName;
-    r.organization =
-        cfg.llcName.empty() ? llcKindName(cfg.kind) : cfg.llcName;
+    r.organization = cfg.llcName;
     r.failed = true;
     r.error = why;
 }
@@ -282,6 +282,15 @@ runOne(BatchState &st, size_t index)
         markFailed(r, cfg, "cancelled");
     } else if (cfg.workloadName.empty()) {
         markFailed(r, cfg, "config has no workloadName");
+    } else if (!knownWorkload(cfg.workloadName)) {
+        // Checked here, not left to runWorkload's fatal(): a typo must
+        // fail its own run, not exit the process under its batch-mates.
+        markFailed(r, cfg,
+                   "unknown workload '" + cfg.workloadName + "'");
+    } else if (!llcRegistered(cfg.llcName)) {
+        markFailed(r, cfg,
+                   "organization '" + cfg.llcName +
+                       "' is not registered");
     } else {
         for (unsigned attempt = 0;; ++attempt) {
             if (attempt > 0) {

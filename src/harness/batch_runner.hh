@@ -18,8 +18,10 @@
  *
  * Robustness: a run that throws is reported as a failed RunResult
  * (failed=true, error=what()) without disturbing the pool or the other
- * runs; fatal()/panic() remain process-fatal by design (configuration
- * errors and simulator bugs should kill a sweep loudly). Cancellation
+ * runs; so does a config whose workload or organization name is
+ * unknown, which is checked before the run starts. fatal()/panic()
+ * remain process-fatal by design (other configuration errors and
+ * simulator bugs should kill a sweep loudly). Cancellation
  * is cooperative: runs already executing finish, queued runs are
  * marked failed with error "cancelled" and still reported through
  * onProgress.
@@ -114,12 +116,12 @@ struct BatchOptions
 
     /**
      * Retries per run after a retryable failure (timeout or an
-     * exception; "cancelled" and empty-workloadName configs never
-     * retry). Attempt n sleeps retryBackoffMs << (n-1) plus up to 50%
-     * deterministic jitter derived from (fingerprint, attempt), then
-     * re-executes from the identical config — by the determinism
-     * contract the retried run is the same pure function of the
-     * config.
+     * exception; "cancelled" and configs with a missing or unknown
+     * workload or organization name never retry). Attempt n sleeps
+     * retryBackoffMs << (n-1) plus up to 50% deterministic jitter
+     * derived from (fingerprint, attempt), then re-executes from the
+     * identical config — by the determinism contract the retried run
+     * is the same pure function of the config.
      */
     unsigned maxRetries = 0;
 

@@ -80,43 +80,6 @@ ensureSpoolLayout(const SpoolPaths &paths)
 namespace
 {
 
-/** Map an organization name back onto LlcKind/llcName. @return false
- * for a name no LLC factory builder answers to. */
-bool
-resolveOrganization(const std::string &org, RunConfig &cfg,
-                    std::string &why)
-{
-    static const LlcKind kinds[] = {
-        LlcKind::Baseline, LlcKind::SplitDopp, LlcKind::UniDopp,
-        LlcKind::Dedup,    LlcKind::Bdi,
-    };
-    for (LlcKind k : kinds) {
-        if (org == llcKindName(k)) {
-            cfg.kind = k;
-            cfg.llcName.clear();
-            return true;
-        }
-    }
-    for (const std::string &name : registeredLlcNames()) {
-        if (org == name) {
-            cfg.llcName = org;
-            return true;
-        }
-    }
-    why = "organization '" + org + "' is not registered";
-    return false;
-}
-
-bool
-knownWorkload(const std::string &name)
-{
-    for (const std::string &w : workloadNames()) {
-        if (w == name)
-            return true;
-    }
-    return false;
-}
-
 /**
  * Mirror resolvedSliceConfig's validation without its fatal()s: a
  * worker must reject a bad batch line, not die on it (and then be
@@ -177,8 +140,6 @@ campaignConfigJson(const RunConfig &cfg)
               cfg.workloadName.c_str());
     }
 
-    const std::string org =
-        cfg.llcName.empty() ? llcKindName(cfg.kind) : cfg.llcName;
     // Bake the submitting side's environment into the line: the
     // worker re-resolves from these explicit values alone, so its
     // fingerprint cannot drift from the client's.
@@ -189,7 +150,7 @@ campaignConfigJson(const RunConfig &cfg)
     out += "{\"v\":" + jsonFmtU64(campaignSchemaVersion);
     out += ",\"fp\":\"" + jsonEscape(configFingerprint(cfg)) + '"';
     out += ",\"workload\":\"" + jsonEscape(cfg.workloadName) + '"';
-    out += ",\"organization\":\"" + jsonEscape(org) + '"';
+    out += ",\"organization\":\"" + jsonEscape(cfg.llcName) + '"';
     out += ",\"mapBits\":" + jsonFmtU64(cfg.mapBits);
     out += ",\"dataFraction\":" + jsonFmtDouble(cfg.dataFraction);
     out += ",\"hashMode\":" +
@@ -322,8 +283,11 @@ parseCampaignConfig(const std::string &line, RunConfig &cfg,
         why = "unknown workload '" + c.workloadName + "'";
         return false;
     }
-    if (!resolveOrganization(org, c, why))
+    if (!llcRegistered(org)) {
+        why = "organization '" + org + "' is not registered";
         return false;
+    }
+    c.llcName = org;
     if (hashMode > 2 || dataPolicy > 2) {
         why = "enum value out of range";
         return false;

@@ -19,32 +19,6 @@ namespace dopp
 {
 
 const char *
-llcKindName(LlcKind kind)
-{
-    switch (kind) {
-      case LlcKind::Baseline: return "baseline";
-      case LlcKind::SplitDopp: return "split-doppelganger";
-      case LlcKind::UniDopp: return "uniDoppelganger";
-      case LlcKind::Dedup: return "dedup";
-      case LlcKind::Bdi: return "bdi";
-    }
-    return "?";
-}
-
-LlcKind
-llcKindFromName(const std::string &name)
-{
-    for (LlcKind kind : {LlcKind::Baseline, LlcKind::SplitDopp,
-                         LlcKind::UniDopp, LlcKind::Dedup,
-                         LlcKind::Bdi}) {
-        if (name == llcKindName(kind))
-            return kind;
-    }
-    fatal("unknown LLC organization name '%s'", name.c_str());
-    return LlcKind::Baseline;
-}
-
-const char *
 mapSpaceModeName(MapSpaceMode mode)
 {
     switch (mode) {
@@ -224,10 +198,8 @@ runWorkload(const std::string &workload_name, const RunConfig &cfg)
     memory.registerStats(statReg.group("mem"));
     ApproxRegistry registry;
 
-    const std::string orgName =
-        cfg.llcName.empty() ? llcKindName(cfg.kind) : cfg.llcName;
     LlcBuilt built =
-        buildLlc(orgName, memory, registry, cfg, statReg);
+        buildLlc(cfg.llcName, memory, registry, cfg, statReg);
     LastLevelCache *llc = built.llc.get();
 
     // Fault injection and QoR guardrail (attached independently: a
@@ -386,7 +358,7 @@ runWorkload(const std::string &workload_name, const RunConfig &cfg)
 
     RunResult r;
     r.workload = workload_name;
-    r.organization = orgName;
+    r.organization = cfg.llcName;
     r.runtime = rt.runtime();
     r.output = workload->output();
     r.stats = statReg.snapshot();

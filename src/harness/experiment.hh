@@ -26,22 +26,6 @@
 namespace dopp
 {
 
-/** Which LLC organization to build. */
-enum class LlcKind : u8
-{
-    Baseline,  ///< 2 MB conventional (Table 1 baseline)
-    SplitDopp, ///< 1 MB precise + 1 MB-tag-equivalent Doppelgänger
-    UniDopp,   ///< 2 MB-tag-equivalent uniDoppelgänger
-    Dedup,     ///< exact-deduplication LLC baseline
-    Bdi,       ///< B∆I-compressed conventional LLC baseline
-};
-
-/** Name of @p kind for reports. */
-const char *llcKindName(LlcKind kind);
-
-/** Exact inverse of llcKindName(); fatal on an unknown name. */
-LlcKind llcKindFromName(const std::string &name);
-
 /**
  * How a sliced run sizes the Doppelgänger map-value space
  * (DESIGN.md §15). Slicing fragments the address space, so the map
@@ -74,12 +58,11 @@ struct RunConfig
      * batch runner (harness/batch_runner.hh) requires it. */
     std::string workloadName;
 
-    LlcKind kind = LlcKind::Baseline;
-
-    /** LLC factory organization name; overrides @ref kind when
-     * non-empty. Must name a registered builder (llc_factory.hh) —
-     * this is how experiments plug in custom organizations. */
-    std::string llcName;
+    /** LLC organization: the name of a registered factory builder
+     * (llc_factory.hh), a built-in or one an experiment registered
+     * itself. Reports, fingerprints and the campaign wire format all
+     * carry this string. */
+    std::string llcName = "baseline";
 
     /** Doppelgänger map-space size M (Table 1 default 14). */
     unsigned mapBits = 14;
@@ -139,12 +122,13 @@ struct RunConfig
     MapSpaceMode mapSpaceMode = MapSpaceMode::Shared;
 
     /**
-     * Per-slice worker threads inside this run. 0 defers to
-     * DOPP_SLICE_THREADS, then 1. >1 spawns one persistent worker per
-     * slice, which only SlicedLlc::replay uses; routed accesses always
-     * run on the calling thread (sim/sliced_llc.hh), so results are
-     * bit-identical to sliceThreads=1 and, like the observation
-     * hooks, this knob is excluded from the config fingerprint.
+     * Concurrent slice replay allowed. 0 defers to
+     * DOPP_SLICE_THREADS, then 1. >1 lets SlicedLlc::replay run one
+     * thread per slice for the duration of the call; routed accesses
+     * always run on the calling thread (sim/sliced_llc.hh), so a
+     * runWorkload result never depends on it and, like the
+     * observation hooks, this knob is excluded from the config
+     * fingerprint.
      */
     u32 sliceThreads = 0;
     /// @}

@@ -160,9 +160,6 @@ constexpr u64 journalSchemaVersion = 1;
 std::string
 configFingerprint(const RunConfig &cfg)
 {
-    const std::string org =
-        cfg.llcName.empty() ? llcKindName(cfg.kind) : cfg.llcName;
-
     // Canonical key=value rendering of every result-affecting field;
     // extend this list whenever RunConfig grows one (DESIGN.md §11).
     std::string key;
@@ -174,7 +171,7 @@ configFingerprint(const RunConfig &cfg)
         key += ';';
     };
     add("workload", cfg.workloadName);
-    add("org", org);
+    add("org", cfg.llcName);
     add("mapBits", fmtU64(cfg.mapBits));
     add("dataFraction", fmtDouble(cfg.dataFraction));
     add("hashMode", fmtU64(static_cast<u64>(cfg.hashMode)));
@@ -226,7 +223,7 @@ configFingerprint(const RunConfig &cfg)
     }
     // Slice layout (DESIGN.md §15), resolved through the same path the
     // factory builds from so a run and its resume key cannot disagree.
-    // sliceThreads is excluded: routed runs never use slice worker
+    // sliceThreads is excluded: routed runs never start slice
     // threads, so threads=1 and threads=N are bit-identical and, like
     // abortFlag and doppReference, it must never distinguish runs.
     const SliceConfig sc = resolvedSliceConfig(cfg);
@@ -237,7 +234,7 @@ configFingerprint(const RunConfig &cfg)
     char hex[17];
     std::snprintf(hex, sizeof(hex), "%016llx",
                   static_cast<unsigned long long>(fnv1a64(key)));
-    return cfg.workloadName + "/" + org + "@" + hex;
+    return cfg.workloadName + "/" + cfg.llcName + "@" + hex;
 }
 
 bool

@@ -1,6 +1,6 @@
 /**
  * @file
- * Builders of the five built-in LLC organizations. Each builder
+ * Builders of the eight built-in LLC organizations. Each builder
  * constructs its organization against the run's StatRegistry under
  * the group path the factory hands it ("llc" for a direct build,
  * "llc.sliceN" per slice of a sliced build): organizations whose
@@ -56,8 +56,8 @@ buildSplitDopp(MainMemory &memory, const ApproxRegistry &registry,
     built.doppConfig = sc.dopp;
     auto ptr =
         std::make_unique<SplitLlc>(memory, sc, registry, &stats, group);
-    built.split = ptr.get();
-    built.dopp = &ptr->doppelganger();
+    built.splits.push_back(ptr.get());
+    built.dopps.push_back(&ptr->doppelganger());
     built.llc = std::move(ptr);
     return built;
 }
@@ -71,9 +71,9 @@ buildUniDopp(MainMemory &memory, const ApproxRegistry &registry,
     built.doppConfig = uniDoppConfig(cfg);
     auto ptr = makeDoppEngine(memory, built.doppConfig, &registry,
                               &stats, group + ".dopp");
-    built.dopp = ptr.get();
     registerLlcStatsView(stats.group(group),
                          [llc = ptr.get()] { return llc->stats(); });
+    built.dopps.push_back(ptr.get());
     built.llc = std::move(ptr);
     return built;
 }
@@ -138,9 +138,9 @@ buildUniDoppBdi(MainMemory &memory, const ApproxRegistry &registry,
     built.doppConfig = dc;
     auto ptr = std::make_unique<UniDoppBdiLlc>(memory, dc, &registry,
                                                &stats, group);
-    built.dopp = &ptr->inner();
     registerLlcStatsView(stats.group(group),
                          [llc = ptr.get()] { return llc->stats(); });
+    built.dopps.push_back(&ptr->inner());
     built.llc = std::move(ptr);
     return built;
 }
@@ -194,11 +194,11 @@ void
 registerBuiltinLlcs()
 {
     static const bool once = [] {
-        registerLlc(llcKindName(LlcKind::Baseline), buildBaseline);
-        registerLlc(llcKindName(LlcKind::SplitDopp), buildSplitDopp);
-        registerLlc(llcKindName(LlcKind::UniDopp), buildUniDopp);
-        registerLlc(llcKindName(LlcKind::Dedup), buildDedup);
-        registerLlc(llcKindName(LlcKind::Bdi), buildBdi);
+        registerLlc("baseline", buildBaseline);
+        registerLlc("split-doppelganger", buildSplitDopp);
+        registerLlc("uniDoppelganger", buildUniDopp);
+        registerLlc("dedup", buildDedup);
+        registerLlc("bdi", buildBdi);
         registerLlc("uniDoppBdi", buildUniDoppBdi);
         registerLlc("gdish", buildGdish);
         registerLlc("approxDedup", buildApproxDedup);

@@ -39,21 +39,6 @@ factory()
     return storage();
 }
 
-/** Fill the splits/dopps vectors from a builder's single pointers
- * (builders predate the vectors; custom ones may fill them). */
-LlcBuilt
-withViewVectors(LlcBuilt built, const std::string &name)
-{
-    if (!built.llc)
-        fatal("llc factory: builder '%s' returned no LLC",
-              name.c_str());
-    if (built.splits.empty() && built.split)
-        built.splits.push_back(built.split);
-    if (built.dopps.empty() && built.dopp)
-        built.dopps.push_back(built.dopp);
-    return built;
-}
-
 } // namespace
 
 void
@@ -102,14 +87,19 @@ buildLlc(const std::string &name, MainMemory &memory,
         fatal("llc factory: unknown organization '%s' (registered: %s)",
               name.c_str(), known.c_str());
     }
-    const LlcBuilder &builder = it->second;
+    auto build = [&](const RunConfig &c, const std::string &group) {
+        LlcBuilt b = it->second(memory, registry, c, stats, group);
+        if (!b.llc)
+            fatal("llc factory: builder '%s' returned no LLC",
+                  name.c_str());
+        return b;
+    };
 
     const SliceConfig sc = resolvedSliceConfig(cfg);
     if (sc.count == 0) {
         // Legacy direct build: the organization registers under "llc"
         // itself, exactly as before the sliced front end existed.
-        return withViewVectors(
-            builder(memory, registry, cfg, stats, "llc"), name);
+        return build(cfg, "llc");
     }
 
     // Sliced build: run the same builder once per slice with 1/N of
@@ -134,13 +124,9 @@ buildLlc(const std::string &name, MainMemory &memory,
     for (u32 i = 0; i < sc.count; ++i) {
         const std::string group =
             sc.count == 1 ? "llc" : "llc.slice" + std::to_string(i);
-        LlcBuilt b = withViewVectors(
-            builder(memory, registry, sliceCfg, stats, group), name);
-        if (i == 0) {
-            agg.split = b.split;
-            agg.dopp = b.dopp;
+        LlcBuilt b = build(sliceCfg, group);
+        if (i == 0)
             agg.doppConfig = b.doppConfig;
-        }
         agg.splits.insert(agg.splits.end(), b.splits.begin(),
                           b.splits.end());
         agg.dopps.insert(agg.dopps.end(), b.dopps.begin(),

@@ -1,11 +1,11 @@
 /**
  * @file
- * Self-registering LLC factory: maps organization names (the
- * llcKindName() strings) to builder functions, replacing the
- * hard-coded switch the harness used to grow for every new
- * organization. The five built-in organizations register themselves
- * (llc_builders.cc); experiments and tests may add their own with
- * registerLlc() before calling runWorkload().
+ * Self-registering LLC factory: maps organization names (the strings
+ * RunConfig::llcName carries) to builder functions. The name is an
+ * organization's only identity: reports, journal fingerprints and the
+ * campaign wire format all use it. The eight built-in organizations
+ * register themselves (llc_builders.cc); experiments and tests may
+ * add their own with registerLlc() before calling runWorkload().
  */
 
 #ifndef DOPP_HARNESS_LLC_FACTORY_HH
@@ -32,19 +32,12 @@ struct LlcBuilt
 {
     std::unique_ptr<LastLevelCache> llc;
 
-    /** Set when the organization is the split one (per-half stats).
-     * Sliced runs: the first slice's (see @ref splits). */
-    const SplitLlc *split = nullptr;
-
-    /** Set when a Doppelgänger engine is reachable (occupancy).
-     * Sliced runs: the first slice's (see @ref dopps). */
-    const DoppEngine *dopp = nullptr;
-
-    /** Every split container in the build: empty for non-split
-     * organizations, one entry unsliced, one per slice sliced. */
+    /** Every split container in the build (per-half stats): empty for
+     * non-split organizations, one entry unsliced, one per slice
+     * sliced. */
     std::vector<const SplitLlc *> splits;
 
-    /** Every reachable Doppelgänger engine, likewise. */
+    /** Every reachable Doppelgänger engine (occupancy), likewise. */
     std::vector<const DoppEngine *> dopps;
 
     /** Geometry actually used, for the energy model; defaulted for
@@ -96,7 +89,7 @@ LlcBuilt buildLlc(const std::string &name, MainMemory &memory,
                   const ApproxRegistry &registry, const RunConfig &cfg,
                   StatRegistry &stats);
 
-/** Force registration of the five built-in organizations. Called by
+/** Force registration of the eight built-in organizations. Called by
  * the factory itself; callable from tests that enumerate names. */
 void registerBuiltinLlcs();
 

@@ -1,8 +1,6 @@
 #include "sliced_llc.hh"
 
-#include <condition_variable>
 #include <cstring>
-#include <mutex>
 #include <thread>
 
 #include "util/logging.hh"
@@ -10,127 +8,14 @@
 namespace dopp
 {
 
-// ---------------------------------------------------------------------
-// SliceWorkerPool
-// ---------------------------------------------------------------------
-
-/**
- * One persistent worker thread per slice, serving replay(): runAll()
- * posts one job per worker and waits for all of them. The mutex
- * handoff orders every write a worker makes before runAll() returns.
- * Jobs must not throw.
- */
-class SliceWorkerPool
-{
-  public:
-    explicit SliceWorkerPool(u32 n)
-    {
-        slots.reserve(n);
-        for (u32 i = 0; i < n; ++i) {
-            slots.push_back(std::make_unique<Worker>());
-            Worker *w = slots.back().get();
-            w->thread = std::thread([w] { workerLoop(*w); });
-        }
-    }
-
-    ~SliceWorkerPool()
-    {
-        for (auto &wp : slots) {
-            Worker &w = *wp;
-            {
-                std::unique_lock<std::mutex> lk(w.m);
-                w.cv.wait(lk, [&w] { return !w.busy; });
-                w.stop = true;
-            }
-            w.cv.notify_all();
-            w.thread.join();
-        }
-    }
-
-    u32 size() const { return static_cast<u32>(slots.size()); }
-
-    /** Run jobs[i] on worker i, all concurrently; wait for all.
-     * @pre jobs.size() == size(). */
-    void
-    runAll(const std::vector<std::function<void()>> &jobs)
-    {
-        DOPP_ASSERT(jobs.size() == slots.size());
-        for (u32 i = 0; i < jobs.size(); ++i)
-            post(i, jobs[i]);
-        for (u32 i = 0; i < jobs.size(); ++i)
-            wait(i);
-    }
-
-  private:
-    struct Worker
-    {
-        std::thread thread;
-        std::mutex m;
-        std::condition_variable cv;
-        const std::function<void()> *job = nullptr;
-        bool busy = false;
-        bool stop = false;
-    };
-
-    static void
-    workerLoop(Worker &w)
-    {
-        for (;;) {
-            const std::function<void()> *job;
-            {
-                std::unique_lock<std::mutex> lk(w.m);
-                w.cv.wait(lk,
-                          [&w] { return w.job != nullptr || w.stop; });
-                if (w.stop)
-                    return;
-                job = w.job;
-            }
-            (*job)();
-            {
-                std::lock_guard<std::mutex> lk(w.m);
-                w.job = nullptr;
-                w.busy = false;
-            }
-            w.cv.notify_all();
-        }
-    }
-
-    /** Hand @p job to worker @p i (job must outlive wait(i)). */
-    void
-    post(u32 i, const std::function<void()> &job)
-    {
-        Worker &w = *slots[i];
-        {
-            std::unique_lock<std::mutex> lk(w.m);
-            w.cv.wait(lk, [&w] { return !w.busy; });
-            w.busy = true;
-            w.job = &job;
-        }
-        w.cv.notify_all();
-    }
-
-    void
-    wait(u32 i)
-    {
-        Worker &w = *slots[i];
-        std::unique_lock<std::mutex> lk(w.m);
-        w.cv.wait(lk, [&w] { return !w.busy; });
-    }
-
-    std::vector<std::unique_ptr<Worker>> slots;
-};
-
-// ---------------------------------------------------------------------
-// SlicedLlc
-// ---------------------------------------------------------------------
-
 SlicedLlc::SlicedLlc(MainMemory &memory,
                      std::vector<std::unique_ptr<LastLevelCache>> slices,
                      SliceHashKind hash_kind, u32 worker_threads,
                      StatRegistry *stat_registry,
                      const std::string &stat_group)
     : LastLevelCache(memory, stat_registry, stat_group),
-      subs(std::move(slices)), hash(hash_kind)
+      subs(std::move(slices)), hash(hash_kind),
+      concurrentReplay(worker_threads > 1)
 {
     if (subs.empty())
         fatal("sliced llc: no slices");
@@ -140,20 +25,6 @@ SlicedLlc::SlicedLlc(MainMemory &memory,
         if (!s)
             fatal("sliced llc: null slice");
     }
-    if (worker_threads > 1) {
-        // One worker per slice, whatever the thread request beyond 1:
-        // a slice is the unit of independent state, so more threads
-        // than slices could never run anything extra.
-        workers = std::make_unique<SliceWorkerPool>(sliceCount());
-    }
-}
-
-SlicedLlc::~SlicedLlc() = default;
-
-u32
-SlicedLlc::workerThreads() const
-{
-    return workers ? workers->size() : 1;
 }
 
 LastLevelCache::FetchResult
@@ -263,7 +134,7 @@ fillPatternBlock(Addr addr, u8 *data)
 void
 SlicedLlc::replay(const std::vector<SliceOp> &ops, bool concurrent)
 {
-    const bool parallel = concurrent && workers != nullptr;
+    const bool parallel = concurrent && concurrentReplay;
     if (parallel && (faults || guardrail || prof)) {
         fatal("sliced llc: concurrent replay with a fault "
               "injector, guardrail or hot-path profile attached");
@@ -302,14 +173,19 @@ SlicedLlc::replay(const std::vector<SliceOp> &ops, bool concurrent)
     // lookup.
     for (const SliceOp &op : ops)
         mem.materialize(op.addr);
+    // One thread per slice, whatever the thread request beyond 1: a
+    // slice is the unit of independent state, so more threads than
+    // slices could never run anything extra. The joins order every
+    // write a worker made before endSharded() folds the shards.
     mem.beginSharded(sliceCount(), hash);
-    std::vector<std::function<void()>> jobs;
-    jobs.reserve(sliceCount());
-    for (u32 i = 0; i < sliceCount(); ++i) {
-        jobs.push_back(
-            [&drive, this, i, &parts] { drive(*subs[i], parts[i]); });
-    }
-    workers->runAll(jobs);
+    std::vector<std::thread> workers;
+    workers.reserve(sliceCount());
+    for (u32 i = 0; i < sliceCount(); ++i)
+        workers.emplace_back([&drive, this, i, &parts] {
+            drive(*subs[i], parts[i]);
+        });
+    for (std::thread &w : workers)
+        w.join();
     mem.endSharded();
 }
 

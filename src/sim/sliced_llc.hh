@@ -14,18 +14,19 @@
  *    injector's Rng, the guardrail, inclusive back-invalidation into
  *    the private caches) sees exactly the serial access order, and
  *    sliceThreads=1 and sliceThreads=N are bit-identical by
- *    construction. Worker threads serve replay() only.
+ *    construction. No thread exists outside replay().
  *  - Genuine parallelism is confined to replay(): a direct-drive
  *    fetch/writeback stream is partitioned by slice hash up front and
- *    the partitions run concurrently, one worker per slice, with no
- *    lock and no shared mutable state. Before the workers start,
- *    replay() materializes the block of every op in the backing
- *    memory (victims were materialized when they were fetched), so
- *    workers only look blocks up and each writes only its own slice's
- *    blocks; traffic counters go to one counter shard per slice
- *    (MainMemory::beginSharded) and fold back in slice order after
- *    the join. The sums commute, so per-slice state, memory contents
- *    and merged stats are bit-identical to a serial replay.
+ *    the partitions run concurrently, one thread per slice started
+ *    and joined inside the call, with no lock and no shared mutable
+ *    state. Before the workers start, replay() materializes the block
+ *    of every op in the backing memory (victims were materialized when
+ *    they were fetched), so workers only look blocks up and each
+ *    writes only its own slice's blocks; traffic counters go to one
+ *    counter shard per slice (MainMemory::beginSharded) and fold back
+ *    in slice order after the join. The sums commute, so per-slice
+ *    state, memory contents and merged stats are bit-identical to a
+ *    serial replay.
  *    Concurrent replay is fatal with an LLC fault injector, a
  *    guardrail or a hot-path profile attached, on tiered memory, and
  *    with a memory fault hook, bit-flip observer or fault injector
@@ -45,8 +46,6 @@
 namespace dopp
 {
 
-class SliceWorkerPool;
-
 /** N-slice LLC front end; a pure container like SplitLlc. */
 class SlicedLlc : public LastLevelCache
 {
@@ -55,15 +54,14 @@ class SlicedLlc : public LastLevelCache
      * @param slices one factory-built sub-LLC per slice (their
      *        counters already live under per-slice stat groups)
      * @param hash slice-selection policy
-     * @param worker_threads > 1 starts one worker per slice for
-     *        concurrent replay(); routed accesses never use them
+     * @param worker_threads > 1 allows concurrent replay(); routed
+     *        accesses never start a thread
      */
     SlicedLlc(MainMemory &memory,
               std::vector<std::unique_ptr<LastLevelCache>> slices,
               SliceHashKind hash, u32 worker_threads,
               StatRegistry *stat_registry = nullptr,
               const std::string &stat_group = "llc");
-    ~SlicedLlc() override;
 
     FetchResult fetch(Addr addr, u8 *data) override;
     void writeback(Addr addr, const u8 *data) override;
@@ -87,7 +85,6 @@ class SlicedLlc : public LastLevelCache
     /// @{
     u32 sliceCount() const { return static_cast<u32>(subs.size()); }
     SliceHashKind hashKind() const { return hash; }
-    u32 workerThreads() const;
 
     /** Slice index @p addr routes to. */
     u32 sliceOfAddr(Addr addr) const
@@ -108,9 +105,10 @@ class SlicedLlc : public LastLevelCache
 
     /**
      * Direct-drive replay of @p ops: partition by slice hash, then run
-     * each slice's partition in op order — concurrently (one worker
-     * per slice) when @p concurrent is set and worker threads exist,
-     * serially otherwise. Writebacks store a deterministic in-range
+     * each slice's partition in op order — concurrently (one thread
+     * per slice, joined before return) when @p concurrent is set and
+     * the front end was built with worker_threads > 1, serially
+     * otherwise. Writebacks store a deterministic in-range
      * F32 pattern derived from the address. Per-slice results are
      * bit-identical either way (see the determinism contract above,
      * which also lists the configurations concurrent replay refuses).
@@ -120,7 +118,7 @@ class SlicedLlc : public LastLevelCache
   private:
     std::vector<std::unique_ptr<LastLevelCache>> subs;
     SliceHashKind hash;
-    std::unique_ptr<SliceWorkerPool> workers; ///< only if threads > 1
+    bool concurrentReplay; ///< worker_threads > 1
     HotPathProfile *prof = nullptr;
 };
 

@@ -1,5 +1,7 @@
 #include "workload.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 
 namespace dopp
@@ -14,6 +16,13 @@ workloadNames()
         "jpeg",         "kmeans",   "swaptions",
     };
     return names;
+}
+
+bool
+knownWorkload(const std::string &name)
+{
+    const std::vector<std::string> &names = workloadNames();
+    return std::find(names.begin(), names.end(), name) != names.end();
 }
 
 std::unique_ptr<Workload>

@@ -87,6 +87,9 @@ class Workload
 /** All nine benchmark names, in Table 2 order. */
 const std::vector<std::string> &workloadNames();
 
+/** Whether @p name is one of workloadNames(). */
+bool knownWorkload(const std::string &name);
+
 /** Construct the named benchmark. Fatal on unknown names. */
 std::unique_ptr<Workload> makeWorkload(const std::string &name,
                                        const WorkloadConfig &config);

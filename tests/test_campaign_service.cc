@@ -35,12 +35,12 @@ namespace
 {
 
 RunConfig
-tinyConfig(const std::string &workload, LlcKind kind,
+tinyConfig(const std::string &workload, const std::string &org,
            double scale = 0.03)
 {
     RunConfig cfg;
     cfg.workloadName = workload;
-    cfg.kind = kind;
+    cfg.llcName = org;
     cfg.workload.scale = scale;
     return cfg;
 }
@@ -79,9 +79,9 @@ std::vector<RunConfig>
 smallCampaign(size_t n, double scale = 0.01)
 {
     const RunConfig variants[] = {
-        tinyConfig("kmeans", LlcKind::Baseline, scale),
-        tinyConfig("kmeans", LlcKind::SplitDopp, scale),
-        tinyConfig("blackscholes", LlcKind::UniDopp, scale),
+        tinyConfig("kmeans", "baseline", scale),
+        tinyConfig("kmeans", "split-doppelganger", scale),
+        tinyConfig("blackscholes", "uniDoppelganger", scale),
     };
     std::vector<RunConfig> configs;
     configs.reserve(n);
@@ -126,7 +126,7 @@ testWorkerOptions(const std::string &root)
 
 TEST(CampaignCodec, RoundTripPreservesFingerprint)
 {
-    RunConfig cfg = tinyConfig("kmeans", LlcKind::SplitDopp, 0.07);
+    RunConfig cfg = tinyConfig("kmeans", "split-doppelganger", 0.07);
     cfg.mapBits = 12;
     cfg.dataFraction = 0.5;
     cfg.hashMode = MapHashMode::AvgOnly;
@@ -162,7 +162,7 @@ TEST(CampaignCodec, RoundTripPreservesFingerprint)
     EXPECT_EQ(fp, configFingerprint(cfg));
     EXPECT_EQ(configFingerprint(parsed), configFingerprint(cfg));
     EXPECT_EQ(parsed.workloadName, "kmeans");
-    EXPECT_EQ(parsed.kind, LlcKind::SplitDopp);
+    EXPECT_EQ(parsed.llcName, "split-doppelganger");
     EXPECT_EQ(parsed.mapBits, 12u);
     EXPECT_EQ(parsed.dataPolicy, ReplPolicy::FIFO);
     EXPECT_EQ(parsed.workload.seed, 987654321u);
@@ -185,7 +185,7 @@ TEST(CampaignCodec, RejectsMalformedLines)
     EXPECT_FALSE(parseCampaignConfig("{}", parsed, fp, why));
 
     const std::string good =
-        campaignConfigJson(tinyConfig("kmeans", LlcKind::Baseline));
+        campaignConfigJson(tinyConfig("kmeans", "baseline"));
 
     // Unknown schema column.
     std::string unknownKey = good;
@@ -217,7 +217,7 @@ TEST(CampaignCodec, RejectsMalformedLines)
 
 TEST(CampaignCodec, RefusesUnspoolableConfigs)
 {
-    RunConfig cfg = tinyConfig("kmeans", LlcKind::Baseline);
+    RunConfig cfg = tinyConfig("kmeans", "baseline");
     cfg.snapshotPeriod = 1000;
     cfg.onSnapshot = [](const Snapshot &) {};
     EXPECT_EXIT(campaignConfigJson(cfg),
@@ -229,7 +229,7 @@ TEST(CampaignCodec, BatchLoadIsAllOrNothing)
     TempDir dir;
     const std::string path = dir.path + "/batch.jsonl";
     std::string text =
-        campaignConfigJson(tinyConfig("kmeans", LlcKind::Baseline));
+        campaignConfigJson(tinyConfig("kmeans", "baseline"));
     text += "this line is garbage\n";
     atomicWriteFile(path, text);
 
@@ -370,7 +370,7 @@ TEST(JournalTailTest, ConsumesIncrementallyAndBuffersTornLines)
 {
     TempDir dir;
     const std::string path = dir.path + "/journal.jsonl";
-    const RunConfig cfg = tinyConfig("kmeans", LlcKind::Baseline);
+    const RunConfig cfg = tinyConfig("kmeans", "baseline");
     RunResult result = runWorkload(cfg);
     const std::string fp = configFingerprint(cfg);
     const std::string record = journalRecordJson(fp, result);

@@ -571,13 +571,18 @@ TEST_F(UniDoppTest, PreciseDirtyEvictionWritesExactData)
 namespace
 {
 
+// gtest names each instance by the raw bytes of its parameter, so the
+// struct must have no padding: a `bool` here left three uninitialized
+// bytes in the name, which then changed from run to run.
 struct ChurnParams
 {
     u32 tagEntries;
     u32 dataEntries;
-    bool hashedIndex;
+    u32 hashedIndex; // 0 or 1
     unsigned mapBits;
 };
+static_assert(sizeof(ChurnParams) == 4 * sizeof(u32),
+              "ChurnParams must have no padding bytes");
 
 class DoppChurnTest : public ::testing::TestWithParam<ChurnParams>
 {
@@ -595,7 +600,7 @@ TEST_P(DoppChurnTest, InvariantsHoldUnderRandomChurn)
     cfg.dataEntries = param.dataEntries;
     cfg.dataWays = 4;
     cfg.mapBits = param.mapBits;
-    cfg.hashDataSetIndex = param.hashedIndex;
+    cfg.hashDataSetIndex = param.hashedIndex != 0;
     DoppelgangerCache cache(mem, cfg, nullptr);
 
     Rng rng(param.tagEntries * 31 + param.mapBits);

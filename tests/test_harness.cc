@@ -39,14 +39,6 @@ TEST(Report, Times)
     EXPECT_EQ(times(1.407, 1), "1.4x");
 }
 
-TEST(Harness, LlcKindNames)
-{
-    EXPECT_STREQ(llcKindName(LlcKind::Baseline), "baseline");
-    EXPECT_STREQ(llcKindName(LlcKind::SplitDopp), "split-doppelganger");
-    EXPECT_STREQ(llcKindName(LlcKind::UniDopp), "uniDoppelganger");
-    EXPECT_STREQ(llcKindName(LlcKind::Dedup), "dedup");
-}
-
 TEST(Harness, SplitDoppConfigMatchesTable1)
 {
     RunConfig cfg;
@@ -86,10 +78,10 @@ namespace
 {
 
 RunConfig
-tinyRun(LlcKind kind)
+tinyRun(const std::string &org)
 {
     RunConfig cfg;
-    cfg.kind = kind;
+    cfg.llcName = org;
     cfg.workload.scale = 0.05;
     return cfg;
 }
@@ -98,7 +90,7 @@ tinyRun(LlcKind kind)
 
 TEST(Harness, BaselineRunProducesStats)
 {
-    const RunResult r = runWorkload("kmeans", tinyRun(LlcKind::Baseline));
+    const RunResult r = runWorkload("kmeans", tinyRun("baseline"));
     EXPECT_EQ(r.workload, "kmeans");
     EXPECT_EQ(r.organization, "baseline");
     EXPECT_GT(r.runtime, 0u);
@@ -110,8 +102,8 @@ TEST(Harness, BaselineRunProducesStats)
 
 TEST(Harness, RunIsDeterministic)
 {
-    const RunResult a = runWorkload("jmeint", tinyRun(LlcKind::SplitDopp));
-    const RunResult b = runWorkload("jmeint", tinyRun(LlcKind::SplitDopp));
+    const RunResult a = runWorkload("jmeint", tinyRun("split-doppelganger"));
+    const RunResult b = runWorkload("jmeint", tinyRun("split-doppelganger"));
     EXPECT_EQ(a.runtime, b.runtime);
     EXPECT_EQ(a.output, b.output);
     EXPECT_EQ(a.memReads, b.memReads);
@@ -121,7 +113,7 @@ TEST(Harness, RunIsDeterministic)
 TEST(Harness, SplitRunSeparatesHalves)
 {
     const RunResult r =
-        runWorkload("jpeg", tinyRun(LlcKind::SplitDopp));
+        runWorkload("jpeg", tinyRun("split-doppelganger"));
     EXPECT_GT(r.doppHalf.fetches, 0u); // jpeg is ~all approximate
     EXPECT_EQ(r.llc.fetches,
               r.doppHalf.fetches + r.preciseHalf.fetches);
@@ -131,7 +123,7 @@ TEST(Harness, SplitRunSeparatesHalves)
 
 TEST(Harness, UniRunReportsDoppConfig)
 {
-    RunConfig cfg = tinyRun(LlcKind::UniDopp);
+    RunConfig cfg = tinyRun("uniDoppelganger");
     cfg.dataFraction = 0.5;
     const RunResult r = runWorkload("kmeans", cfg);
     EXPECT_TRUE(r.doppConfig.unified);
@@ -141,14 +133,14 @@ TEST(Harness, UniRunReportsDoppConfig)
 TEST(Harness, DedupRunWorks)
 {
     const RunResult r =
-        runWorkload("blackscholes", tinyRun(LlcKind::Dedup));
+        runWorkload("blackscholes", tinyRun("dedup"));
     EXPECT_EQ(r.organization, "dedup");
     EXPECT_GT(r.llc.fetches, 0u);
 }
 
 TEST(Harness, SnapshotHookDelivers)
 {
-    RunConfig cfg = tinyRun(LlcKind::Baseline);
+    RunConfig cfg = tinyRun("baseline");
     cfg.workload.scale = 0.2;
     cfg.snapshotPeriod = 5000;
     unsigned snaps = 0;
@@ -174,7 +166,7 @@ TEST(Harness, ScaleFromEnvDefaultsToOne)
 
 TEST(ResultsIo, CsvRowMatchesHeaderArity)
 {
-    const RunResult r = runWorkload("kmeans", tinyRun(LlcKind::Baseline));
+    const RunResult r = runWorkload("kmeans", tinyRun("baseline"));
     const std::string header = runResultCsvHeader(r);
     const std::string row = runResultCsvRow(r);
     const auto commas = [](const std::string &s) {
@@ -187,7 +179,7 @@ TEST(ResultsIo, CsvRowMatchesHeaderArity)
 TEST(ResultsIo, CsvContainsKeyCounters)
 {
     const RunResult r =
-        runWorkload("jpeg", tinyRun(LlcKind::SplitDopp));
+        runWorkload("jpeg", tinyRun("split-doppelganger"));
     const std::string row = runResultCsvRow(r);
     std::ostringstream expect;
     expect << r.runtime;
@@ -198,7 +190,7 @@ TEST(ResultsIo, CsvContainsKeyCounters)
 
 TEST(ResultsIo, WriteCsvFile)
 {
-    const RunResult r = runWorkload("kmeans", tinyRun(LlcKind::Baseline));
+    const RunResult r = runWorkload("kmeans", tinyRun("baseline"));
     const std::string path = "/tmp/dopp-results-test.csv";
     writeResultsCsv(path, {r, r});
     std::ifstream in(path);
@@ -213,7 +205,7 @@ TEST(ResultsIo, WriteCsvFile)
 
 TEST(ResultsIo, JsonIsWellFormedEnough)
 {
-    const RunResult r = runWorkload("kmeans", tinyRun(LlcKind::Baseline));
+    const RunResult r = runWorkload("kmeans", tinyRun("baseline"));
     const std::string json = runResultJson(r);
     EXPECT_EQ(json.front(), '{');
     EXPECT_EQ(json.back(), '}');
@@ -225,7 +217,7 @@ TEST(ResultsIo, JsonIsWellFormedEnough)
 
 TEST(ResultsIo, WriteJsonFile)
 {
-    const RunResult r = runWorkload("kmeans", tinyRun(LlcKind::Baseline));
+    const RunResult r = runWorkload("kmeans", tinyRun("baseline"));
     const std::string path = "/tmp/dopp-results-test.json";
     writeResultsJson(path, {r});
     std::ifstream in(path);
@@ -257,7 +249,7 @@ writeTempCsv(const std::string &text)
 
 TEST(ResultsIo, LoadCsvRoundTrips)
 {
-    RunConfig cfg = tinyRun(LlcKind::SplitDopp);
+    RunConfig cfg = tinyRun("split-doppelganger");
     cfg.fault.dataRate = 0.01;
     cfg.fault.tagMetaRate = 0.01;
     RunResult r = runWorkload("blackscholes", cfg);
@@ -340,7 +332,7 @@ TEST(ResultsIoDeathTest, MissingColumnLookupIsFatal)
 
 TEST(Harness, FaultCountersReachRunResult)
 {
-    RunConfig cfg = tinyRun(LlcKind::UniDopp);
+    RunConfig cfg = tinyRun("uniDoppelganger");
     cfg.fault.dataRate = 0.05;
     cfg.fault.tagMetaRate = 0.02;
     cfg.fault.mtagMetaRate = 0.02;

@@ -18,11 +18,11 @@ namespace
 {
 
 RunConfig
-mkConfig(LlcKind kind, double scale = 0.2, unsigned map_bits = 14,
-         double fraction = 0.25)
+mkConfig(const std::string &org, double scale = 0.2,
+         unsigned map_bits = 14, double fraction = 0.25)
 {
     RunConfig cfg;
-    cfg.kind = kind;
+    cfg.llcName = org;
     cfg.workload.scale = scale;
     cfg.mapBits = map_bits;
     cfg.dataFraction = fraction;
@@ -36,9 +36,9 @@ TEST(Integration, BaselineRunsAreExact)
     // Two baseline runs of the same workload agree bit-for-bit, and a
     // dedup (lossless) run agrees with the baseline's output.
     const RunResult base =
-        runWorkload("jpeg", mkConfig(LlcKind::Baseline));
+        runWorkload("jpeg", mkConfig("baseline"));
     const RunResult dedup =
-        runWorkload("jpeg", mkConfig(LlcKind::Dedup));
+        runWorkload("jpeg", mkConfig("dedup"));
     EXPECT_EQ(base.output, dedup.output);
     EXPECT_DOUBLE_EQ(
         workloadOutputError("jpeg", dedup.output, base.output), 0.0);
@@ -47,9 +47,9 @@ TEST(Integration, BaselineRunsAreExact)
 TEST(Integration, DoppelgangerIntroducesBoundedError)
 {
     const RunResult base =
-        runWorkload("jpeg", mkConfig(LlcKind::Baseline));
+        runWorkload("jpeg", mkConfig("baseline"));
     const RunResult dopp =
-        runWorkload("jpeg", mkConfig(LlcKind::SplitDopp));
+        runWorkload("jpeg", mkConfig("split-doppelganger"));
     const double err =
         workloadOutputError("jpeg", dopp.output, base.output);
     EXPECT_GT(err, 0.0);  // approximation is happening
@@ -59,11 +59,11 @@ TEST(Integration, DoppelgangerIntroducesBoundedError)
 TEST(Integration, SmallerMapSpaceMoreError)
 {
     const RunResult base =
-        runWorkload("kmeans", mkConfig(LlcKind::Baseline));
+        runWorkload("kmeans", mkConfig("baseline"));
     const RunResult m10 =
-        runWorkload("kmeans", mkConfig(LlcKind::SplitDopp, 0.2, 10));
+        runWorkload("kmeans", mkConfig("split-doppelganger", 0.2, 10));
     const RunResult m14 =
-        runWorkload("kmeans", mkConfig(LlcKind::SplitDopp, 0.2, 14));
+        runWorkload("kmeans", mkConfig("split-doppelganger", 0.2, 14));
     const double e10 =
         workloadOutputError("kmeans", m10.output, base.output);
     const double e14 =
@@ -74,7 +74,7 @@ TEST(Integration, SmallerMapSpaceMoreError)
 TEST(Integration, DoppStoresFewerDataBlocksThanTags)
 {
     const RunResult r =
-        runWorkload("jpeg", mkConfig(LlcKind::SplitDopp));
+        runWorkload("jpeg", mkConfig("split-doppelganger"));
     // Approximate similarity: multiple tags per data entry on average
     // (the paper reports 4.4 on its mix).
     EXPECT_GT(r.tagsPerDataEntry, 1.05);
@@ -84,9 +84,9 @@ TEST(Integration, SplitEnergyBelowBaseline)
 {
     const EnergyModel em;
     const RunResult base =
-        runWorkload("jpeg", mkConfig(LlcKind::Baseline));
+        runWorkload("jpeg", mkConfig("baseline"));
     const RunResult dopp =
-        runWorkload("jpeg", mkConfig(LlcKind::SplitDopp));
+        runWorkload("jpeg", mkConfig("split-doppelganger"));
     const EnergyResult be = em.baseline(base.llc, base.runtime);
     const EnergyResult de = em.split(dopp.preciseHalf, dopp.doppHalf,
                                      dopp.doppConfig, dopp.runtime);
@@ -97,9 +97,9 @@ TEST(Integration, SplitEnergyBelowBaseline)
 TEST(Integration, RuntimeNearBaselineAtQuarterArray)
 {
     const RunResult base =
-        runWorkload("blackscholes", mkConfig(LlcKind::Baseline));
+        runWorkload("blackscholes", mkConfig("baseline"));
     const RunResult dopp =
-        runWorkload("blackscholes", mkConfig(LlcKind::SplitDopp));
+        runWorkload("blackscholes", mkConfig("split-doppelganger"));
     const double norm = static_cast<double>(dopp.runtime) /
         static_cast<double>(base.runtime);
     EXPECT_LT(norm, 1.25);
@@ -112,9 +112,9 @@ TEST(Integration, UniDoppHandlesMixedFootprints)
     // its output must match the baseline closely (params are the only
     // approximate data).
     const RunResult base =
-        runWorkload("swaptions", mkConfig(LlcKind::Baseline));
+        runWorkload("swaptions", mkConfig("baseline"));
     const RunResult uni =
-        runWorkload("swaptions", mkConfig(LlcKind::UniDopp, 0.2, 14,
+        runWorkload("swaptions", mkConfig("uniDoppelganger", 0.2, 14,
                                           0.5));
     EXPECT_EQ(base.output.size(), uni.output.size());
     const double err =
@@ -125,9 +125,9 @@ TEST(Integration, UniDoppHandlesMixedFootprints)
 TEST(Integration, OffChipTrafficComparableToBaseline)
 {
     const RunResult base =
-        runWorkload("ferret", mkConfig(LlcKind::Baseline));
+        runWorkload("ferret", mkConfig("baseline"));
     const RunResult dopp =
-        runWorkload("ferret", mkConfig(LlcKind::SplitDopp));
+        runWorkload("ferret", mkConfig("split-doppelganger"));
     const double norm = static_cast<double>(dopp.offChipTraffic()) /
         static_cast<double>(base.offChipTraffic());
     EXPECT_LT(norm, 1.5); // Fig 12: minimal impact
@@ -138,7 +138,7 @@ TEST(Integration, EvictionStatsPopulated)
     // A deliberately tiny data array (1/32) forces data evictions even
     // at reduced workload scale.
     const RunResult r = runWorkload(
-        "canneal", mkConfig(LlcKind::SplitDopp, 0.2, 14, 0.03125));
+        "canneal", mkConfig("split-doppelganger", 0.2, 14, 0.03125));
     EXPECT_GT(r.doppHalf.evictions + r.doppHalf.dataEvictions, 0u);
     EXPECT_GT(r.doppHalf.mapGens, 0u);
     // The paper's avg-linked-tags statistic is measurable.
@@ -148,21 +148,21 @@ TEST(Integration, EvictionStatsPopulated)
 TEST(Integration, HigherScaleMoreAccesses)
 {
     const RunResult small =
-        runWorkload("kmeans", mkConfig(LlcKind::Baseline, 0.1));
+        runWorkload("kmeans", mkConfig("baseline", 0.1));
     const RunResult big =
-        runWorkload("kmeans", mkConfig(LlcKind::Baseline, 0.3));
+        runWorkload("kmeans", mkConfig("baseline", 0.3));
     EXPECT_GT(big.hierarchy.accesses, small.hierarchy.accesses);
 }
 
 TEST(Integration, AllWorkloadsRunOnAllOrganizations)
 {
     for (const auto &name : workloadNames()) {
-        for (LlcKind kind : {LlcKind::Baseline, LlcKind::SplitDopp,
-                             LlcKind::UniDopp, LlcKind::Dedup}) {
+        for (const char *org : {"baseline", "split-doppelganger",
+                                "uniDoppelganger", "dedup"}) {
             const RunResult r =
-                runWorkload(name, mkConfig(kind, 0.05));
+                runWorkload(name, mkConfig(org, 0.05));
             EXPECT_FALSE(r.output.empty())
-                << name << " on " << llcKindName(kind);
+                << name << " on " << org;
             EXPECT_GT(r.runtime, 0u);
         }
     }

@@ -35,12 +35,12 @@ namespace
 {
 
 RunConfig
-tinyConfig(const std::string &workload, LlcKind kind,
+tinyConfig(const std::string &workload, const std::string &org,
            double scale = 0.03)
 {
     RunConfig cfg;
     cfg.workloadName = workload;
-    cfg.kind = kind;
+    cfg.llcName = org;
     cfg.workload.scale = scale;
     return cfg;
 }
@@ -78,10 +78,10 @@ std::vector<RunConfig>
 campaign200()
 {
     const RunConfig variants[] = {
-        tinyConfig("kmeans", LlcKind::Baseline, 0.01),
-        tinyConfig("kmeans", LlcKind::SplitDopp, 0.01),
-        tinyConfig("blackscholes", LlcKind::UniDopp, 0.01),
-        tinyConfig("inversek2j", LlcKind::Bdi, 0.01),
+        tinyConfig("kmeans", "baseline", 0.01),
+        tinyConfig("kmeans", "split-doppelganger", 0.01),
+        tinyConfig("blackscholes", "uniDoppelganger", 0.01),
+        tinyConfig("inversek2j", "bdi", 0.01),
     };
     std::vector<RunConfig> configs;
     configs.reserve(200);
@@ -101,7 +101,7 @@ campaign200()
 
 TEST(Journal, FingerprintIsDeterministicAndDiscriminating)
 {
-    const RunConfig base = tinyConfig("kmeans", LlcKind::SplitDopp);
+    const RunConfig base = tinyConfig("kmeans", "split-doppelganger");
     const std::string fp = configFingerprint(base);
 
     // Format: "<workload>/<organization>@<16 hex>".
@@ -129,7 +129,7 @@ TEST(Journal, FingerprintIsDeterministicAndDiscriminating)
     c.qor.budget = 0.001;
     EXPECT_NE(configFingerprint(c), fp);
     c = base;
-    c.kind = LlcKind::UniDopp;
+    c.llcName = "uniDoppelganger";
     EXPECT_NE(configFingerprint(c), fp);
 
     // Observation hooks and the abort flag never affect results, so
@@ -146,15 +146,39 @@ TEST(Journal, FingerprintIsDeterministicAndDiscriminating)
     EXPECT_TRUE(configResumable(base));
 }
 
+TEST(Journal, FingerprintsArePinnedForEveryOrganization)
+{
+    // Resume matches journal records by fingerprint, so these values
+    // must never move: a change orphans every journal written before
+    // it and silently re-executes its runs.
+    const std::pair<const char *, const char *> pins[] = {
+        {"baseline", "kmeans/baseline@bc339f2429fc0d2a"},
+        {"split-doppelganger", "kmeans/split-doppelganger@7c46d0fbe5b901a2"},
+        {"uniDoppelganger", "kmeans/uniDoppelganger@c319856dc6ddc185"},
+        {"dedup", "kmeans/dedup@a549a01e1487767f"},
+        {"bdi", "kmeans/bdi@ce22ef247ed45ef0"},
+        {"uniDoppBdi", "kmeans/uniDoppBdi@acb7b74e64c9de5b"},
+        {"gdish", "kmeans/gdish@290c4ba0914b070c"},
+        {"approxDedup", "kmeans/approxDedup@89802a870f1a5fb3"},
+    };
+    for (const auto &[org, fp] : pins) {
+        RunConfig cfg;
+        cfg.workloadName = "kmeans";
+        cfg.llcName = org;
+        cfg.workload.scale = 0.03;
+        EXPECT_EQ(configFingerprint(cfg), fp);
+    }
+}
+
 TEST(Journal, FingerprintDistinguishesMemoryTierFields)
 {
-    RunConfig base = tinyConfig("kmeans", LlcKind::Baseline);
+    RunConfig base = tinyConfig("kmeans", "baseline");
     base.memTier = defaultMemTier();
     const std::string fp = configFingerprint(base);
     EXPECT_EQ(configFingerprint(base), fp);
 
     // A flat-memory config fingerprints differently from a tiered one.
-    RunConfig c = tinyConfig("kmeans", LlcKind::Baseline);
+    RunConfig c = tinyConfig("kmeans", "baseline");
     EXPECT_NE(configFingerprint(c), fp);
 
     // Every per-partition field moves the fingerprint.
@@ -214,7 +238,7 @@ TEST(Journal, FingerprintDistinguishesMemoryTierFields)
 
 TEST(Journal, FingerprintDistinguishesSliceFields)
 {
-    const RunConfig base = tinyConfig("kmeans", LlcKind::SplitDopp);
+    const RunConfig base = tinyConfig("kmeans", "split-doppelganger");
     const std::string fp = configFingerprint(base);
 
     // The slice layout changes what is built, so every resolved knob
@@ -240,9 +264,8 @@ TEST(Journal, FingerprintDistinguishesSliceFields)
     c.sliceCount = 1;
     EXPECT_NE(configFingerprint(c), fp);
 
-    // sliceThreads is result-neutral (routed runs never use slice
-    // worker threads): threads=1 and threads=N must share a journal
-    // record.
+    // sliceThreads is result-neutral (routed runs never start slice
+    // threads): threads=1 and threads=N must share a journal record.
     c = base;
     c.sliceCount = 4;
     c.sliceThreads = 1;
@@ -265,7 +288,7 @@ TEST(Journal, FingerprintDistinguishesSliceFields)
 TEST(Journal, RecordRoundTripsBitExactly)
 {
     // A faulted + guardrailed split run exercises every compat view.
-    RunConfig cfg = tinyConfig("blackscholes", LlcKind::SplitDopp);
+    RunConfig cfg = tinyConfig("blackscholes", "split-doppelganger");
     cfg.fault.dataRate = 0.01;
     cfg.fault.tagMetaRate = 0.01;
     cfg.qor.budget = 0.001;
@@ -330,7 +353,7 @@ TEST(Journal, MissingFileLoadsEmpty)
 
 TEST(Journal, TruncatedLastLineIsDiscarded)
 {
-    const RunConfig cfg = tinyConfig("kmeans", LlcKind::Baseline);
+    const RunConfig cfg = tinyConfig("kmeans", "baseline");
     const RunResult r = runWorkload(cfg);
     const std::string a =
         journalRecordJson(configFingerprint(cfg), r);
@@ -355,7 +378,7 @@ TEST(Journal, TruncatedLastLineIsDiscarded)
 
 TEST(Journal, UnknownSchemaIsDiscarded)
 {
-    const RunConfig cfg = tinyConfig("kmeans", LlcKind::Baseline);
+    const RunConfig cfg = tinyConfig("kmeans", "baseline");
     const std::string fp = configFingerprint(cfg);
     const std::string good = journalRecordJson(fp, runWorkload(cfg));
 
@@ -381,7 +404,7 @@ TEST(Journal, UnknownSchemaIsDiscarded)
 
 TEST(Journal, DuplicateFingerprintKeepsLastRecord)
 {
-    const RunConfig cfg = tinyConfig("kmeans", LlcKind::Baseline);
+    const RunConfig cfg = tinyConfig("kmeans", "baseline");
     const std::string fp = configFingerprint(cfg);
     RunResult r = runWorkload(cfg);
     const std::string first = journalRecordJson(fp, r);
@@ -407,8 +430,8 @@ TEST(Journal, DuplicateFingerprintKeepsLastRecord)
 TEST(Resilience, SecondCampaignResumesEverything)
 {
     const std::vector<RunConfig> configs = {
-        tinyConfig("kmeans", LlcKind::Baseline),
-        tinyConfig("jpeg", LlcKind::UniDopp),
+        tinyConfig("kmeans", "baseline"),
+        tinyConfig("jpeg", "uniDoppelganger"),
     };
     TempPath journal;
 
@@ -500,7 +523,7 @@ TEST(Resilience, ResumeEquivalenceAtEveryCutPoint)
 TEST(Resilience, DuplicateConfigsShareOneJournalRecord)
 {
     const std::vector<RunConfig> configs(
-        4, tinyConfig("kmeans", LlcKind::Baseline));
+        4, tinyConfig("kmeans", "baseline"));
     TempPath journal;
     BatchOptions opt;
     opt.jobs = 2;
@@ -527,9 +550,9 @@ TEST(Resilience, DuplicateConfigsShareOneJournalRecord)
 TEST(Resilience, CorruptedJournalRecordsReRun)
 {
     const std::vector<RunConfig> configs = {
-        tinyConfig("kmeans", LlcKind::Baseline),
-        tinyConfig("jpeg", LlcKind::UniDopp),
-        tinyConfig("blackscholes", LlcKind::SplitDopp),
+        tinyConfig("kmeans", "baseline"),
+        tinyConfig("jpeg", "uniDoppelganger"),
+        tinyConfig("blackscholes", "split-doppelganger"),
     };
     TempPath journal;
     BatchOptions opt;
@@ -566,7 +589,7 @@ TEST(Resilience, HookConfigsReExecuteButStillJournal)
     // journal cannot replay: hook-carrying configs must re-execute on
     // every campaign. Their records are still written, so the same
     // config *without* hooks can resume from them.
-    RunConfig hooked = tinyConfig("kmeans", LlcKind::SplitDopp);
+    RunConfig hooked = tinyConfig("kmeans", "split-doppelganger");
     hooked.snapshotPeriod = 1000;
     std::atomic<u64> snapshots{0};
     hooked.onSnapshot = [&](const Snapshot &) { ++snapshots; };
@@ -587,7 +610,7 @@ TEST(Resilience, HookConfigsReExecuteButStillJournal)
     EXPECT_EQ(snapshots.load(), 2 * firstSnapshots) <<
         "hook did not re-fire on resume";
 
-    RunConfig bare = tinyConfig("kmeans", LlcKind::SplitDopp);
+    RunConfig bare = tinyConfig("kmeans", "split-doppelganger");
     const BatchOutcome third =
         runBatchResumable({bare}, journal.path, opt);
     EXPECT_EQ(third.runsResumed, 1u);
@@ -599,7 +622,7 @@ TEST(Resilience, HookConfigsReExecuteButStillJournal)
 TEST(Resilience, CancelledRunsAreReportedAndNotJournaled)
 {
     const std::vector<RunConfig> configs(
-        3, tinyConfig("kmeans", LlcKind::Baseline));
+        3, tinyConfig("kmeans", "baseline"));
     std::atomic<bool> cancel{true};
     TempPath journal;
 
@@ -634,7 +657,7 @@ TEST(Resilience, WatchdogTimesOutWedgedRunWithoutKillingPool)
     // a ~10 ms run with a 50x margin against the shared deadline, so
     // it must complete undisturbed even on a heavily loaded machine.
     std::vector<RunConfig> configs;
-    configs.push_back(tinyConfig("kmeans", LlcKind::Baseline, 0.05));
+    configs.push_back(tinyConfig("kmeans", "baseline", 0.05));
     configs[0].snapshotPeriod = 64;
     bool slept = false;
     configs[0].onSnapshot = [&slept](const Snapshot &) {
@@ -643,7 +666,7 @@ TEST(Resilience, WatchdogTimesOutWedgedRunWithoutKillingPool)
             std::this_thread::sleep_for(std::chrono::milliseconds(600));
         }
     };
-    configs.push_back(tinyConfig("kmeans", LlcKind::Baseline, 0.01));
+    configs.push_back(tinyConfig("kmeans", "baseline", 0.01));
 
     StatRegistry reg;
     BatchOptions opt;
@@ -668,7 +691,7 @@ TEST(Resilience, WatchdogTimesOutWedgedRunWithoutKillingPool)
 TEST(Resilience, TimeoutRetriesWithBackoffThenFails)
 {
     std::vector<RunConfig> configs;
-    configs.push_back(tinyConfig("kmeans", LlcKind::Baseline, 0.5));
+    configs.push_back(tinyConfig("kmeans", "baseline", 0.5));
 
     StatRegistry reg;
     BatchOptions opt;
@@ -692,7 +715,7 @@ TEST(Resilience, TransientFailureRetriesToSuccess)
     // A hook that throws exactly once models a transient failure; the
     // retry re-executes from the identical config and succeeds.
     std::atomic<u64> attempts{0};
-    RunConfig flaky = tinyConfig("kmeans", LlcKind::Baseline);
+    RunConfig flaky = tinyConfig("kmeans", "baseline");
     flaky.snapshotPeriod = 1000;
     flaky.onSnapshot = [&](const Snapshot &) {
         if (attempts.fetch_add(1) == 0)
@@ -741,7 +764,7 @@ TEST(Resilience, MemTierCampaignResumesBitIdentically)
     for (u64 i = 0; i < 6; ++i) {
         RunConfig cfg = tinyConfig(
             i % 2 ? "blackscholes" : "kmeans",
-            i % 2 ? LlcKind::SplitDopp : LlcKind::Baseline, 0.02);
+            i % 2 ? "split-doppelganger" : "baseline", 0.02);
         cfg.workload.seed = 7000 + i;
         cfg.memTier = defaultMemTier(1e-3, 1e-3);
         cfg.qor.budget = 0.01;
@@ -794,7 +817,7 @@ TEST(Resilience, SlicedCampaignResumesBitIdentically)
     for (u64 i = 0; i < 6; ++i) {
         RunConfig cfg = tinyConfig(
             i % 2 ? "blackscholes" : "kmeans",
-            i % 2 ? LlcKind::SplitDopp : LlcKind::Baseline, 0.02);
+            i % 2 ? "split-doppelganger" : "baseline", 0.02);
         cfg.workload.seed = 8000 + i;
         cfg.sliceCount = 1u << (i % 3);       // 1, 2, 4
         cfg.sliceHash = i % 2 ? "sandybridge" : "bitselect";
@@ -845,7 +868,7 @@ TEST(Resilience, BatchAbortPollIntervalIsPlumbedToRuns)
     // tightens the poll to every 16 accesses, and the same run
     // completes when the poll interval is loosened beyond the run's
     // access count (the flag is simply never observed).
-    RunConfig cfg = tinyConfig("kmeans", LlcKind::Baseline, 0.5);
+    RunConfig cfg = tinyConfig("kmeans", "baseline", 0.5);
 
     StatRegistry tightReg;
     BatchOptions tight;
@@ -863,7 +886,7 @@ TEST(Resilience, BatchAbortPollIntervalIsPlumbedToRuns)
     loose.runTimeoutMs = 1;
     loose.abortPollAccesses = u64{1} << 40; // far past the run's end
     const std::vector<RunResult> finished =
-        runBatch({tinyConfig("kmeans", LlcKind::Baseline, 0.02)},
+        runBatch({tinyConfig("kmeans", "baseline", 0.02)},
                  loose);
     EXPECT_FALSE(finished[0].failed) << finished[0].error;
 }
@@ -871,8 +894,8 @@ TEST(Resilience, BatchAbortPollIntervalIsPlumbedToRuns)
 TEST(Resilience, JournalBytesCounterTracksAppends)
 {
     const std::vector<RunConfig> configs = {
-        tinyConfig("kmeans", LlcKind::Baseline),
-        tinyConfig("jpeg", LlcKind::UniDopp),
+        tinyConfig("kmeans", "baseline"),
+        tinyConfig("jpeg", "uniDoppelganger"),
     };
     TempPath journal;
     StatRegistry reg;
@@ -893,7 +916,7 @@ TEST(Resilience, JournalBytesCounterTracksAppends)
 TEST(ResilienceDeathTest, EmptyJournalPathIsFatal)
 {
     EXPECT_EXIT(
-        runBatchResumable({tinyConfig("kmeans", LlcKind::Baseline)},
+        runBatchResumable({tinyConfig("kmeans", "baseline")},
                           "", {}),
         ::testing::ExitedWithCode(1), "empty journal path");
 }

@@ -26,18 +26,20 @@ namespace
 {
 
 RunConfig
-tinyRun(LlcKind kind, const std::string &workload = "kmeans")
+tinyRun(const std::string &org,
+        const std::string &workload = "kmeans")
 {
     RunConfig cfg;
-    cfg.kind = kind;
+    cfg.llcName = org;
     cfg.workloadName = workload;
     cfg.workload.scale = 0.05;
     return cfg;
 }
 
-constexpr LlcKind allKinds[] = {
-    LlcKind::Baseline, LlcKind::SplitDopp, LlcKind::UniDopp,
-    LlcKind::Dedup,    LlcKind::Bdi,
+/** The five organizations of the paper's evaluation. */
+constexpr const char *paperOrgs[] = {
+    "baseline", "split-doppelganger", "uniDoppelganger",
+    "dedup",    "bdi",
 };
 
 /** Scoped environment override restoring the prior value on exit. */
@@ -669,49 +671,48 @@ TEST(SlicedLlcDeathTest, ConcurrentReplayRefusesMemoryFaultInjector)
 
 TEST(SlicePins, SingleSliceIsBitIdenticalToUnsliced)
 {
-    for (LlcKind kind : allKinds) {
-        RunConfig unsliced = tinyRun(kind);
+    for (const char *org : paperOrgs) {
+        RunConfig unsliced = tinyRun(org);
         const RunResult a = runWorkload(unsliced);
 
-        RunConfig one = tinyRun(kind);
+        RunConfig one = tinyRun(org);
         one.sliceCount = 1;
         const RunResult b = runWorkload(one);
 
-        EXPECT_EQ(a.stats, b.stats) << llcKindName(kind);
-        EXPECT_EQ(a.runtime, b.runtime) << llcKindName(kind);
-        EXPECT_EQ(a.output, b.output) << llcKindName(kind);
-        EXPECT_EQ(a.memReads, b.memReads) << llcKindName(kind);
-        EXPECT_EQ(a.memWrites, b.memWrites) << llcKindName(kind);
+        EXPECT_EQ(a.stats, b.stats) << org;
+        EXPECT_EQ(a.runtime, b.runtime) << org;
+        EXPECT_EQ(a.output, b.output) << org;
+        EXPECT_EQ(a.memReads, b.memReads) << org;
+        EXPECT_EQ(a.memWrites, b.memWrites) << org;
     }
 }
 
 TEST(SlicePins, WorkerThreadsAreBitIdenticalToSerialDispatch)
 {
-    for (LlcKind kind : allKinds) {
-        RunConfig serial = tinyRun(kind);
+    for (const char *org : paperOrgs) {
+        RunConfig serial = tinyRun(org);
         serial.sliceCount = 4;
         serial.sliceThreads = 1;
         const RunResult a = runWorkload(serial);
 
-        RunConfig threaded = tinyRun(kind);
+        RunConfig threaded = tinyRun(org);
         threaded.sliceCount = 4;
         threaded.sliceThreads = 4;
         const RunResult b = runWorkload(threaded);
 
-        EXPECT_EQ(a.stats, b.stats) << llcKindName(kind);
-        EXPECT_EQ(a.runtime, b.runtime) << llcKindName(kind);
-        EXPECT_EQ(a.output, b.output) << llcKindName(kind);
+        EXPECT_EQ(a.stats, b.stats) << org;
+        EXPECT_EQ(a.runtime, b.runtime) << org;
+        EXPECT_EQ(a.output, b.output) << org;
     }
 }
 
 TEST(SlicePins, FactoryOrganizationsSingleSliceIsBitIdentical)
 {
-    // The three factory-only organizations (no LlcKind) must satisfy
-    // the same pins: builders that honor stat_group compose with the
-    // sliced front end without per-organization edits.
+    // The three organizations outside paperOrgs must satisfy the same
+    // pins: builders that honor stat_group compose with the sliced
+    // front end without per-organization edits.
     for (const char *name : {"uniDoppBdi", "gdish", "approxDedup"}) {
-        RunConfig unsliced = tinyRun(LlcKind::Baseline);
-        unsliced.llcName = name;
+        RunConfig unsliced = tinyRun(name);
         const RunResult a = runWorkload(unsliced);
 
         RunConfig one = unsliced;
@@ -729,8 +730,7 @@ TEST(SlicePins, FactoryOrganizationsSingleSliceIsBitIdentical)
 TEST(SlicePins, FactoryOrganizationsWorkerThreadsAreBitIdentical)
 {
     for (const char *name : {"uniDoppBdi", "gdish", "approxDedup"}) {
-        RunConfig serial = tinyRun(LlcKind::Baseline);
-        serial.llcName = name;
+        RunConfig serial = tinyRun(name);
         serial.sliceCount = 4;
         serial.sliceThreads = 1;
         const RunResult a = runWorkload(serial);
@@ -751,7 +751,7 @@ TEST(SlicePins, ThreadIdentityHoldsUnderFaultsAndGuardrail)
     // EWMA) is the reason routed accesses stay on the calling thread;
     // a faulted + guardrailed run is where a leak would show first.
     auto faulted = [](u32 threads) {
-        RunConfig cfg = tinyRun(LlcKind::SplitDopp);
+        RunConfig cfg = tinyRun("split-doppelganger");
         cfg.sliceCount = 4;
         cfg.sliceThreads = threads;
         cfg.fault.seed = 99;
@@ -773,7 +773,7 @@ TEST(SlicePins, ThreadIdentityHoldsUnderFaultsAndGuardrail)
 
 TEST(SlicedRun, PerSliceGroupsAppearAndAggregateSums)
 {
-    RunConfig cfg = tinyRun(LlcKind::Baseline);
+    RunConfig cfg = tinyRun("baseline");
     cfg.sliceCount = 4;
     const RunResult r = runWorkload(cfg);
 
@@ -794,8 +794,8 @@ TEST(SlicedRun, UnslicedStatNameSetSurvivesUnderAggregate)
 {
     // Report layers and compatibility views read "llc.*" names; the
     // merged aggregate must expose exactly the unsliced set.
-    const RunResult flat = runWorkload(tinyRun(LlcKind::SplitDopp));
-    RunConfig cfg = tinyRun(LlcKind::SplitDopp);
+    const RunResult flat = runWorkload(tinyRun("split-doppelganger"));
+    RunConfig cfg = tinyRun("split-doppelganger");
     cfg.sliceCount = 2;
     const RunResult sliced = runWorkload(cfg);
 
@@ -807,10 +807,10 @@ TEST(SlicedRun, UnslicedStatNameSetSurvivesUnderAggregate)
 
 TEST(SlicedRun, SplitHalvesAggregateAcrossSlices)
 {
-    RunConfig cfg = tinyRun(LlcKind::SplitDopp);
+    RunConfig cfg = tinyRun("split-doppelganger");
     cfg.sliceCount = 2;
     const RunResult sliced = runWorkload(cfg);
-    const RunResult flat = runWorkload(tinyRun(LlcKind::SplitDopp));
+    const RunResult flat = runWorkload(tinyRun("split-doppelganger"));
 
     // The compatibility halves sum both slices' halves — a sliced run
     // must not silently report only slice 0.
@@ -825,12 +825,12 @@ TEST(SlicedRun, SplitHalvesAggregateAcrossSlices)
 
 TEST(SlicedRun, MapSpaceModeScalesPerSliceMapBits)
 {
-    RunConfig shared = tinyRun(LlcKind::SplitDopp);
+    RunConfig shared = tinyRun("split-doppelganger");
     shared.sliceCount = 4;
     const RunResult a = runWorkload(shared);
     EXPECT_EQ(a.doppConfig.mapBits, shared.mapBits);
 
-    RunConfig perSlice = tinyRun(LlcKind::SplitDopp);
+    RunConfig perSlice = tinyRun("split-doppelganger");
     perSlice.sliceCount = 4;
     perSlice.mapSpaceMode = MapSpaceMode::PerSlice;
     const RunResult b = runWorkload(perSlice);
@@ -843,13 +843,12 @@ TEST(SlicedRun, MapSpaceModeScalesPerSliceMapBits)
 
 TEST(SlicedRun, SandyBridgeHashRunsEveryOrganization)
 {
-    for (LlcKind kind : allKinds) {
-        RunConfig cfg = tinyRun(kind);
+    for (const char *org : paperOrgs) {
+        RunConfig cfg = tinyRun(org);
         cfg.sliceCount = 8;
         cfg.sliceHash = "sandybridge";
         const RunResult r = runWorkload(cfg);
-        EXPECT_GT(r.stats.counter("llc.fetches"), 0u)
-            << llcKindName(kind);
+        EXPECT_GT(r.stats.counter("llc.fetches"), 0u) << org;
     }
 }
 
