@@ -159,7 +159,8 @@ main()
                                   on.guardrailDegradations)),
                        strfmt("%llu",
                               static_cast<unsigned long long>(
-                                  on.llc.degradedFills))});
+                                  on.stats.counter(
+                                      "llc.degradedFills")))});
         }
     }
 

@@ -34,19 +34,25 @@ main()
     u64 dirtyWorkloads = 0;
     for (size_t w = 0; w < names.size(); ++w) {
         const RunResult &r = results[w];
-        const double dirtyFrac = r.doppHalf.evictions
-            ? static_cast<double>(r.doppHalf.dirtyWritebacks) /
-                static_cast<double>(r.doppHalf.evictions)
+        const u64 evictions = r.stats.counter("llc.dopp.evictions");
+        const u64 samples = r.stats.counter("llc.dopp.linkedTagsSamples");
+        const double dirtyFrac = evictions
+            ? static_cast<double>(
+                  r.stats.counter("llc.dopp.dirtyWritebacks")) /
+                static_cast<double>(evictions)
             : 0.0;
 
         table.row({names[w],
                    strfmt("%.2f", r.tagsPerDataEntry),
-                   r.doppHalf.linkedTagsSamples
-                       ? strfmt("%.2f", r.doppHalf.avgLinkedTags())
+                   samples
+                       ? strfmt("%.2f",
+                                static_cast<double>(r.stats.counter(
+                                    "llc.dopp.linkedTagsSum")) /
+                                    static_cast<double>(samples))
                        : "- (no data evictions)",
-                   r.doppHalf.evictions ? pct(dirtyFrac) : "-"});
+                   evictions ? pct(dirtyFrac) : "-"});
         occSum += r.tagsPerDataEntry;
-        if (r.doppHalf.evictions) {
+        if (evictions) {
             dirtySum += dirtyFrac;
             ++dirtyWorkloads;
         }

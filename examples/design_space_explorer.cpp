@@ -34,14 +34,13 @@ main(int argc, char **argv)
                 workload.c_str(), scale);
     const RunResult baseline = runWorkload(workload, base);
     const EnergyModel energy;
-    const EnergyResult baseE =
-        energy.baseline(baseline.llc, baseline.runtime);
+    const EnergyResult baseE = energy.baseline(baseline.stats, "llc");
 
     TextTable table;
     table.header({"organization", "config", "runtime", "error",
                   "LLC miss%", "off-chip blks", "dyn energy", "leakage"});
     table.row({"baseline 2MB", "-", "1.000", "0.000%",
-               pct(baseline.llc.missRate()),
+               pct(baseline.stats.value("llc.missRate")),
                strfmt("%llu", static_cast<unsigned long long>(
                    baseline.offChipTraffic())),
                "1.000", "1.000"});
@@ -67,10 +66,10 @@ main(int argc, char **argv)
 
         EnergyResult e;
         if (p.org == "split-doppelganger") {
-            e = energy.split(r.preciseHalf, r.doppHalf, r.doppConfig,
-                             r.runtime);
+            e = energy.split(r.stats, "llc.precise", "llc.dopp",
+                             r.doppConfig);
         } else {
-            e = energy.unified(r.llc, r.doppConfig, r.runtime);
+            e = energy.unified(r.stats, "llc", r.doppConfig);
         }
 
         const double error =
@@ -82,7 +81,7 @@ main(int argc, char **argv)
             strfmt("%.3f", static_cast<double>(r.runtime) /
                                static_cast<double>(baseline.runtime)),
             pct(error, 2),
-            pct(r.llc.missRate()),
+            pct(r.stats.value("llc.missRate")),
             strfmt("%llu",
                    static_cast<unsigned long long>(r.offChipTraffic())),
             strfmt("%.3f", e.dynamicPj / baseE.dynamicPj),

@@ -33,8 +33,7 @@ runFamily(const char *workload, double scale)
     base.workload.scale = scale;
     const RunResult baseline = runWorkload(workload, base);
     const EnergyModel energy;
-    const EnergyResult baseE =
-        energy.baseline(baseline.llc, baseline.runtime);
+    const EnergyResult baseE = energy.baseline(baseline.stats, "llc");
 
     TextTable table;
     table.header({"organization", "price error", "runtime",
@@ -54,12 +53,11 @@ runFamily(const char *workload, double scale)
         double dynReduction = 1.0;
         if (org == "split-doppelganger") {
             dynReduction = baseE.dynamicPj /
-                energy.split(r.preciseHalf, r.doppHalf, r.doppConfig,
-                             r.runtime).dynamicPj;
+                energy.split(r.stats, "llc.precise", "llc.dopp",
+                             r.doppConfig).dynamicPj;
         } else if (org == "uniDoppelganger") {
             dynReduction = baseE.dynamicPj /
-                energy.unified(r.llc, r.doppConfig, r.runtime)
-                    .dynamicPj;
+                energy.unified(r.stats, "llc", r.doppConfig).dynamicPj;
         }
         table.row({
             org,

@@ -63,14 +63,20 @@ main(int argc, char **argv)
                     static_cast<double>(precise.runtime));
     std::printf("tags per shared data entry:  %.2f (paper avg: 4.4)\n",
                 dopp.tagsPerDataEntry);
+    const u64 evicted = dopp.stats.counter("llc.dopp.linkedTagsSamples");
     std::printf("avg tags on evicted entries: %.2f\n",
-                dopp.doppHalf.avgLinkedTags());
+                evicted ? static_cast<double>(dopp.stats.counter(
+                              "llc.dopp.linkedTagsSum")) /
+                        static_cast<double>(evicted)
+                        : 0.0);
     std::printf("LLC misses baseline/dopp:    %llu / %llu\n",
                 static_cast<unsigned long long>(
-                    precise.llc.fetchMisses),
-                static_cast<unsigned long long>(dopp.llc.fetchMisses));
+                    precise.stats.counter("llc.fetchMisses")),
+                static_cast<unsigned long long>(
+                    dopp.stats.counter("llc.fetchMisses")));
     std::printf("map generations:             %llu (x168 pJ)\n",
-                static_cast<unsigned long long>(dopp.doppHalf.mapGens));
+                static_cast<unsigned long long>(
+                    dopp.stats.counter("llc.dopp.mapGens")));
     std::printf("\nAn output error of a few percent for a pipeline "
                 "whose pixels, DCT\ncoefficients and output all lived "
                 "in a %gx smaller data array is the\npaper's "

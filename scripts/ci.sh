@@ -156,10 +156,60 @@ diff "$SMOKE_DIR/fig12_ref.txt" "$SMOKE_DIR/fig12_opt.txt" || {
 }
 echo "ci: reference-vs-optimized bench stdout diff passed"
 
+# Sliced-LLC identity gates (DESIGN.md §15). Two byte-identical diffs:
+#  - unsliced vs DOPP_SLICES=1: a single-slice SlicedLlc front end
+#    must not perturb any result.
+#  - DOPP_SLICES=4 with 1 vs 4 slice threads: routed runs start no
+#    slice thread, so the knob is invisible to results.
+# slices=1 vs slices=4 is deliberately NOT diffed: slicing genuinely
+# changes capacity partitioning and — for the content-indexed
+# organizations — the dedup pool structure, so those runs differ by
+# design (bench_fig_slices measures by how much).
+env DOPP_WORKLOAD_SCALE=0.05 \
+    "$BUILD_DIR/bench/bench_fig12_offchip_traffic" \
+    > "$SMOKE_DIR/fig12_unsliced.txt"
+env DOPP_WORKLOAD_SCALE=0.05 DOPP_SLICES=1 \
+    "$BUILD_DIR/bench/bench_fig12_offchip_traffic" \
+    > "$SMOKE_DIR/fig12_slice1.txt"
+diff "$SMOKE_DIR/fig12_unsliced.txt" "$SMOKE_DIR/fig12_slice1.txt" || {
+    echo "ci: bench_fig12 output diverged between unsliced and" \
+         "DOPP_SLICES=1" >&2
+    exit 1
+}
+env DOPP_WORKLOAD_SCALE=0.05 DOPP_SLICES=4 DOPP_SLICE_THREADS=1 \
+    "$BUILD_DIR/bench/bench_fig12_offchip_traffic" \
+    > "$SMOKE_DIR/fig12_s4t1.txt"
+env DOPP_WORKLOAD_SCALE=0.05 DOPP_SLICES=4 DOPP_SLICE_THREADS=4 \
+    "$BUILD_DIR/bench/bench_fig12_offchip_traffic" \
+    > "$SMOKE_DIR/fig12_s4t4.txt"
+diff "$SMOKE_DIR/fig12_s4t1.txt" "$SMOKE_DIR/fig12_s4t4.txt" || {
+    echo "ci: bench_fig12 output diverged between slice worker" \
+         "threads 1 and 4" >&2
+    exit 1
+}
+echo "ci: sliced-LLC identity gates passed (unsliced == slices=1," \
+     "threads=1 == threads=4)"
+
+# Memory-tier smoke sweep: run the bench_fig_memtier sweep twice at a
+# tiny scale — serial and 4-wide — and require byte-identical output,
+# so the per-partition fault draws and the cross-tier guardrail stay
+# deterministic under the threaded batch runner (DESIGN.md §13).
+MEMTIER_ENV=(DOPP_WORKLOAD_SCALE=0.05 DOPP_MEMTIER_WORKLOADS=kmeans)
+env "${MEMTIER_ENV[@]}" DOPP_JOBS=1 "$BUILD_DIR/bench/bench_fig_memtier" \
+    > "$SMOKE_DIR/memtier_j1.txt"
+env "${MEMTIER_ENV[@]}" DOPP_JOBS=4 "$BUILD_DIR/bench/bench_fig_memtier" \
+    > "$SMOKE_DIR/memtier_j4.txt"
+diff "$SMOKE_DIR/memtier_j1.txt" "$SMOKE_DIR/memtier_j4.txt" || {
+    echo "ci: bench_fig_memtier diverged between jobs=1 and jobs=4" >&2
+    exit 1
+}
+echo "ci: memory-tier smoke sweep passed (jobs=1 == jobs=4)"
+
 # Throughput gate: a full (non-smoke) bench_perf run's
 # split-doppelganger accesses/sec must not regress more than
 # DOPP_PERF_GATE_PCT percent (default 10) below the committed
-# BENCH_perf.json. DOPP_PERF_GATE=0 skips the gate (e.g. on heavily
+# BENCH_perf.json. It runs last: a wall-clock gate can fail on host
+# noise, and must not hide the deterministic stages above. DOPP_PERF_GATE=0 skips the gate (e.g. on heavily
 # loaded or throttled machines where wall-clock throughput is noise).
 PERF_GATE="${DOPP_PERF_GATE:-1}"
 PERF_GATE_PCT="${DOPP_PERF_GATE_PCT:-10}"
@@ -217,52 +267,3 @@ if [ "$PERF_GATE" != "0" ]; then
 else
     echo "ci: perf gate skipped (DOPP_PERF_GATE=0)"
 fi
-
-# Sliced-LLC identity gates (DESIGN.md §15). Two byte-identical diffs:
-#  - unsliced vs DOPP_SLICES=1: a single-slice SlicedLlc front end
-#    must not perturb any result.
-#  - DOPP_SLICES=4 with 1 vs 4 slice threads: routed runs start no
-#    slice thread, so the knob is invisible to results.
-# slices=1 vs slices=4 is deliberately NOT diffed: slicing genuinely
-# changes capacity partitioning and — for the content-indexed
-# organizations — the dedup pool structure, so those runs differ by
-# design (bench_fig_slices measures by how much).
-env DOPP_WORKLOAD_SCALE=0.05 \
-    "$BUILD_DIR/bench/bench_fig12_offchip_traffic" \
-    > "$SMOKE_DIR/fig12_unsliced.txt"
-env DOPP_WORKLOAD_SCALE=0.05 DOPP_SLICES=1 \
-    "$BUILD_DIR/bench/bench_fig12_offchip_traffic" \
-    > "$SMOKE_DIR/fig12_slice1.txt"
-diff "$SMOKE_DIR/fig12_unsliced.txt" "$SMOKE_DIR/fig12_slice1.txt" || {
-    echo "ci: bench_fig12 output diverged between unsliced and" \
-         "DOPP_SLICES=1" >&2
-    exit 1
-}
-env DOPP_WORKLOAD_SCALE=0.05 DOPP_SLICES=4 DOPP_SLICE_THREADS=1 \
-    "$BUILD_DIR/bench/bench_fig12_offchip_traffic" \
-    > "$SMOKE_DIR/fig12_s4t1.txt"
-env DOPP_WORKLOAD_SCALE=0.05 DOPP_SLICES=4 DOPP_SLICE_THREADS=4 \
-    "$BUILD_DIR/bench/bench_fig12_offchip_traffic" \
-    > "$SMOKE_DIR/fig12_s4t4.txt"
-diff "$SMOKE_DIR/fig12_s4t1.txt" "$SMOKE_DIR/fig12_s4t4.txt" || {
-    echo "ci: bench_fig12 output diverged between slice worker" \
-         "threads 1 and 4" >&2
-    exit 1
-}
-echo "ci: sliced-LLC identity gates passed (unsliced == slices=1," \
-     "threads=1 == threads=4)"
-
-# Memory-tier smoke sweep: run the bench_fig_memtier sweep twice at a
-# tiny scale — serial and 4-wide — and require byte-identical output,
-# so the per-partition fault draws and the cross-tier guardrail stay
-# deterministic under the threaded batch runner (DESIGN.md §13).
-MEMTIER_ENV=(DOPP_WORKLOAD_SCALE=0.05 DOPP_MEMTIER_WORKLOADS=kmeans)
-env "${MEMTIER_ENV[@]}" DOPP_JOBS=1 "$BUILD_DIR/bench/bench_fig_memtier" \
-    > "$SMOKE_DIR/memtier_j1.txt"
-env "${MEMTIER_ENV[@]}" DOPP_JOBS=4 "$BUILD_DIR/bench/bench_fig_memtier" \
-    > "$SMOKE_DIR/memtier_j4.txt"
-diff "$SMOKE_DIR/memtier_j1.txt" "$SMOKE_DIR/memtier_j4.txt" || {
-    echo "ci: bench_fig_memtier diverged between jobs=1 and jobs=4" >&2
-    exit 1
-}
-echo "ci: memory-tier smoke sweep passed (jobs=1 == jobs=4)"

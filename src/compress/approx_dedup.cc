@@ -61,7 +61,7 @@ ApproxDedupLlc::ApproxDedupLlc(MainMemory &memory,
     // Unlike DedupLlc's content hash, the signature depends on the
     // region annotations (type, declared range), so the engine gets
     // the registry and resolves MapParams per block.
-    engine = makeDoppEngine(memory, dc, registry, stat_registry,
+    engine = makeDoppEngine(memory, dc, registry, &statRegistry(),
                             stat_group);
 }
 

@@ -92,8 +92,6 @@ class ApproxDedupLlc : public LastLevelCache
     {
         engine->setHotPathProfile(p);
     }
-    const LlcStats &stats() const override { return engine->stats(); }
-    void resetStats() override { engine->resetStats(); }
 
     /** Underlying engine, for occupancy introspection. */
     const DoppEngine &inner() const { return *engine; }

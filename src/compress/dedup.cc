@@ -30,9 +30,10 @@ DedupLlc::DedupLlc(MainMemory &memory, const DedupConfig &config,
         return fnv1a64(block, blockBytes);
     };
     dc.referenceImpl = config.referenceImpl;
-    // The engine owns every counter; register it under the dedup
-    // cache's own group so "llc.*" names resolve to engine activity.
-    engine = makeDoppEngine(memory, dc, nullptr, stat_registry,
+    // The engine owns every counter; register it in the dedup cache's
+    // own registry and group, so "llc.*" names (and stats()) resolve
+    // to engine activity.
+    engine = makeDoppEngine(memory, dc, nullptr, &statRegistry(),
                             stat_group);
 }
 

@@ -75,8 +75,6 @@ class DedupLlc : public LastLevelCache
     {
         engine->setHotPathProfile(p);
     }
-    const LlcStats &stats() const override { return engine->stats(); }
-    void resetStats() override { engine->resetStats(); }
 
     /** Underlying engine, for occupancy introspection. */
     const DoppEngine &inner() const { return *engine; }

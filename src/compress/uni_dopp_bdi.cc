@@ -17,41 +17,43 @@ UniDoppBdiLlc::UniDoppBdiLlc(MainMemory &memory,
     // Engine counters live under "<group>.dopp" like the plain
     // uniDoppelgänger builder arranges; the B∆I accounting gets its
     // own "<group>.bdi" subgroup so slice merges pick both up.
-    engine = makeDoppEngine(memory, config, registry, stat_registry,
+    engine = makeDoppEngine(memory, config, registry, &statRegistry(),
                             stat_group + ".dopp");
 
     StatGroup g = statGroup().group("bdi");
-    const UniDoppBdiLlc *self = this;
-    g.counterFn(
-        "compressions", [self] { return self->nCompressions; },
+    nCompressions = &g.counter(
+        "compressions",
         "data-array installs measured through the B∆I codec");
-    g.counterFn(
-        "compressedBytes", [self] { return self->nCompressedBytes; },
-        "cumulative compressed size of those installs");
+    nCompressedBytes = &g.counter(
+        "compressedBytes", "cumulative compressed size of those installs");
     fillSize = &g.distribution(
         "fillBytes", "compressed size per data-array install");
+    const UniDoppBdiLlc *self = this;
     g.formula(
         "compressionRatio",
         [self] { return self->compressionRatio(); },
         "uncompressed/compressed bytes over all installs (>= 1)");
+
+    // Whole-LLC view: the engine's counters mirrored under the group.
+    registerLlcStatsView(statGroup(), {"dopp"});
 }
 
 void
 UniDoppBdiLlc::account(const u8 *data)
 {
     const unsigned size = bdiCompressedSize(data);
-    ++nCompressions;
-    nCompressedBytes += size;
+    ++*nCompressions;
+    *nCompressedBytes += size;
     fillSize->sample(static_cast<double>(size));
 }
 
 double
 UniDoppBdiLlc::compressionRatio() const
 {
-    if (nCompressedBytes == 0)
+    if (compressedBytes() == 0)
         return 1.0;
-    return static_cast<double>(nCompressions * blockBytes) /
-        static_cast<double>(nCompressedBytes);
+    return static_cast<double>(compressions() * blockBytes) /
+        static_cast<double>(compressedBytes());
 }
 
 void

@@ -67,8 +67,6 @@ class UniDoppBdiLlc : public LastLevelCache
     {
         engine->setHotPathProfile(p);
     }
-    const LlcStats &stats() const override { return engine->stats(); }
-    void resetStats() override { engine->resetStats(); }
 
     /** Underlying engine, for occupancy introspection. */
     const DoppEngine &inner() const { return *engine; }
@@ -76,10 +74,10 @@ class UniDoppBdiLlc : public LastLevelCache
     /** @name B∆I accounting */
     /// @{
     /** Blocks compressed so far (every data-array install). */
-    u64 compressions() const { return nCompressions; }
+    u64 compressions() const { return nCompressions->value(); }
 
     /** Their cumulative compressed size in bytes. */
-    u64 compressedBytes() const { return nCompressedBytes; }
+    u64 compressedBytes() const { return nCompressedBytes->value(); }
 
     /** Average install compression ratio (≥ 1; 1.0 before any). */
     double compressionRatio() const;
@@ -98,8 +96,8 @@ class UniDoppBdiLlc : public LastLevelCache
     void account(const u8 *data);
 
     std::unique_ptr<DoppEngine> engine;
-    u64 nCompressions = 0;
-    u64 nCompressedBytes = 0;
+    Counter *nCompressions = nullptr;
+    Counter *nCompressedBytes = nullptr;
     Distribution *fillSize = nullptr;
 };
 

@@ -3,19 +3,6 @@
 namespace dopp
 {
 
-LlcStats
-addStats(const LlcStats &a, const LlcStats &b)
-{
-    // Field-wise over the canonical counter list: a counter added to
-    // LlcStats but missing from llcStatFields() trips the size
-    // static_assert in llc.cc, so nothing can silently vanish from
-    // the aggregated sum (and nothing is ever double-counted).
-    LlcStats s;
-    for (const LlcStatField &f : llcStatFields())
-        f.ref(s) = f.value(a) + f.value(b);
-    return s;
-}
-
 SplitLlc::SplitLlc(MainMemory &memory, const SplitLlcConfig &config,
                    const ApproxRegistry &registry,
                    StatRegistry *stat_registry,
@@ -36,8 +23,9 @@ SplitLlc::SplitLlc(MainMemory &memory, const SplitLlcConfig &config,
 {
     // Aggregate view: every canonical LlcStats field plus the derived
     // formulas, computed over the sum of both halves and the split's
-    // own routing counters.
-    registerLlcStatsView(statGroup(), [this] { return stats(); });
+    // own routing counters; each event is counted in exactly one of
+    // the three groups.
+    registerLlcStatsView(statGroup(), {"precise", "dopp", "route"});
 }
 
 void
@@ -129,25 +117,6 @@ SplitLlc::setGuardrail(QorGuardrail *g)
     // feeds the error estimate. degradedFills is counted only here.
     guardrail = g;
     doppHalf->setGuardrail(g);
-}
-
-const LlcStats &
-SplitLlc::stats() const
-{
-    // Sum of both halves plus the split's own routing counters
-    // (degradedFills); each event is counted in exactly one of the
-    // three blocks.
-    combined = addStats(preciseHalf->stats(), doppHalf->stats());
-    combined.degradedFills += degradedFillsCtr.value();
-    return combined;
-}
-
-void
-SplitLlc::resetStats()
-{
-    preciseHalf->resetStats();
-    doppHalf->resetStats();
-    degradedFillsCtr.reset();
 }
 
 } // namespace dopp

@@ -31,8 +31,9 @@ struct SplitLlcConfig
 };
 
 /**
- * Split precise + Doppelgänger LLC. Stats are reported as the sum of
- * both halves; per-half breakdowns are available for the energy model.
+ * Split precise + Doppelgänger LLC. Each half counts under its own
+ * subgroup; the split's stat group carries their sum (plus the
+ * split's own routing counters), which is what stats() reads.
  */
 class SplitLlc : public LastLevelCache
 {
@@ -61,10 +62,8 @@ class SplitLlc : public LastLevelCache
     void setFaultInjector(FaultInjector *fi) override;
     void setGuardrail(QorGuardrail *g) override;
     void setHotPathProfile(HotPathProfile *p) override;
-    const LlcStats &stats() const override;
-    void resetStats() override;
 
-    /** The precise half, for per-structure energy accounting. */
+    /** The precise half. */
     const ConventionalLlc &precise() const { return *preciseHalf; }
 
     /** The Doppelgänger half (optimized or reference engine, per
@@ -79,11 +78,7 @@ class SplitLlc : public LastLevelCache
     std::unique_ptr<ConventionalLlc> preciseHalf;
     std::unique_ptr<DoppEngine> doppHalf;
     Counter &degradedFillsCtr; ///< fills routed precise while degraded
-    mutable LlcStats combined;
 };
-
-/** Sum two stats blocks field-wise (used by split/unified reporting). */
-LlcStats addStats(const LlcStats &a, const LlcStats &b);
 
 } // namespace dopp
 

@@ -74,38 +74,24 @@ class EnergyModel
   public:
     EnergyModel() = default;
 
-    /** Baseline conventional LLC energy. */
-    EnergyResult baseline(const LlcStats &stats, Tick cycles,
-                          u64 entries = 32 * 1024, u32 ways = 16) const;
-
     /**
-     * Split organization energy: @p precise and @p dopp are the two
-     * halves' stats, @p cfg the Doppelgänger geometry.
-     */
-    EnergyResult split(const LlcStats &precise, const LlcStats &dopp,
-                       const DoppConfig &cfg, Tick cycles,
-                       u64 precise_entries = 16 * 1024,
-                       u32 precise_ways = 16) const;
-
-    /** uniDoppelgänger energy. */
-    EnergyResult unified(const LlcStats &stats, const DoppConfig &cfg,
-                         Tick cycles) const;
-
-    /**
-     * @name Snapshot-based overloads
-     * Pull the per-structure access counts out of a run's registry
-     * snapshot (RunResult::stats) by dotted structure name instead of
-     * a typed LlcStats: @p group names the group the organization's
-     * counters live under ("llc", "llc.precise", "llc.dopp"), and the
-     * runtime comes from "run.runtimeCycles". Fatal if a needed
-     * counter is missing from the snapshot.
+     * Per-structure access counts come from a run's registry snapshot
+     * (RunResult::stats) by dotted structure name: @p group names the
+     * group the organization's counters live under ("llc",
+     * "llc.precise", "llc.dopp"), reading `<group>.tagArray.*`,
+     * `.mtagArray.*`, `.dataArray.*` and `.mapGens`; the runtime comes
+     * from "run.runtimeCycles". Fatal if a needed counter is missing
+     * from the snapshot.
      */
     /// @{
+    /** Baseline conventional LLC energy. */
     EnergyResult baseline(const StatSnapshot &snap,
                           const std::string &group,
                           u64 entries = 32 * 1024,
                           u32 ways = 16) const;
 
+    /** Split organization energy: the two halves' groups and the
+     * Doppelgänger geometry @p cfg. */
     EnergyResult split(const StatSnapshot &snap,
                        const std::string &precise_group,
                        const std::string &dopp_group,
@@ -113,6 +99,7 @@ class EnergyModel
                        u64 precise_entries = 16 * 1024,
                        u32 precise_ways = 16) const;
 
+    /** uniDoppelgänger energy. */
     EnergyResult unified(const StatSnapshot &snap,
                          const std::string &group,
                          const DoppConfig &cfg) const;
@@ -121,9 +108,6 @@ class EnergyModel
     const CactiLite &cacti() const { return model; }
 
   private:
-    /** read/write counters × a subarray's per-access energies. */
-    static double arrayPj(const SramCost &cost, const ArrayCounters &c);
-
     /** leakage of @p llc over @p cycles ns. */
     static double leakagePj(const LlcCost &llc, Tick cycles);
 

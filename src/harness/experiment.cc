@@ -362,17 +362,6 @@ runWorkload(const std::string &workload_name, const RunConfig &cfg)
     r.runtime = rt.runtime();
     r.output = workload->output();
     r.stats = statReg.snapshot();
-    r.llc = llc->stats();
-    if (!built.splits.empty()) {
-        for (const SplitLlc *sp : built.splits) {
-            r.preciseHalf = addStats(r.preciseHalf,
-                                     sp->precise().stats());
-            r.doppHalf = addStats(r.doppHalf,
-                                  sp->doppelganger().stats());
-        }
-    } else if (!doppViews.empty()) {
-        r.doppHalf = llc->stats();
-    }
     r.hierarchy = system.stats();
     r.memReads = memory.reads();
     r.memWrites = memory.writes();

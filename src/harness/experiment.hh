@@ -203,14 +203,13 @@ struct RunResult
      * End-of-run snapshot of the run's full StatRegistry: every
      * counter any layer registered, under its dotted name ("llc.*",
      * "hierarchy.*", "mem.*", "fault.*", "qor.*", "run.*"). This is
-     * the authoritative record; the typed fields below are
-     * compatibility views derived from the same counters.
+     * the authoritative record and the only one for LLC stats: read
+     * them by name ("llc.fetches", "llc.missRate"; split halves under
+     * "llc.precise.*" / "llc.dopp.*", whose sum "llc.*" is). The
+     * typed fields below are views derived from the same counters.
      */
     StatSnapshot stats;
 
-    LlcStats llc;                   ///< aggregate LLC stats
-    LlcStats preciseHalf;           ///< split only: precise half
-    LlcStats doppHalf;              ///< split only: Doppelgänger half
     HierarchyStats hierarchy;
     u64 memReads = 0;               ///< off-chip demand reads (blocks)
     u64 memWrites = 0;              ///< off-chip writebacks (blocks)

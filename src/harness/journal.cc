@@ -4,7 +4,6 @@
 #include <fstream>
 
 #include "sim/hierarchy.hh"
-#include "sim/llc.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
 
@@ -47,7 +46,7 @@ fnv1a64(const std::string &s)
 // stats reload as exact u64s.
 
 // ---------------------------------------------------------------------
-// Compatibility-view reconstruction (snapshot -> typed RunResult)
+// Typed-view reconstruction (snapshot -> RunResult)
 // ---------------------------------------------------------------------
 
 /** Optional counter read: @p fallback when @p name is absent. */
@@ -73,47 +72,16 @@ snapReal(const StatSnapshot &s, const std::string &name,
     return fallback;
 }
 
-bool
-snapHas(const StatSnapshot &s, const std::string &prefix)
-{
-    for (const StatValue &v : s.values()) {
-        if (v.name.size() > prefix.size() &&
-            v.name.compare(0, prefix.size(), prefix) == 0 &&
-            v.name[prefix.size()] == '.') {
-            return true;
-        }
-    }
-    return false;
-}
-
-LlcStats
-llcStatsFromSnapshot(const StatSnapshot &s, const std::string &prefix)
-{
-    LlcStats out;
-    for (const LlcStatField &f : llcStatFields())
-        f.ref(out) = snapCounter(s, prefix + "." + f.name);
-    return out;
-}
-
 /**
- * Re-derive every typed compatibility view on @p r from the
- * authoritative snapshot, mirroring what runWorkload fills in at the
- * end of a live run (experiment.cc). Stats a custom organization
- * registered under other group names stay in the snapshot only.
+ * Re-derive the typed views on @p r from the authoritative snapshot,
+ * mirroring what runWorkload fills in at the end of a live run
+ * (experiment.cc). LLC stats have no typed copy: readers take them
+ * from the snapshot by name.
  */
 void
 deriveCompatViews(RunResult &r)
 {
     const StatSnapshot &s = r.stats;
-
-    r.llc = llcStatsFromSnapshot(s, "llc");
-    if (snapHas(s, "llc.precise"))
-        r.preciseHalf = llcStatsFromSnapshot(s, "llc.precise");
-    // uniDoppelgänger's own counters live under llc.dopp too, so this
-    // covers both decoupled organizations (cf. runWorkload's
-    // doppHalf assignment).
-    if (snapHas(s, "llc.dopp"))
-        r.doppHalf = llcStatsFromSnapshot(s, "llc.dopp");
 
     r.hierarchy.accesses = snapCounter(s, "hierarchy.accesses");
     r.hierarchy.loads = snapCounter(s, "hierarchy.loads");

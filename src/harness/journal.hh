@@ -16,9 +16,10 @@
  * What a record carries: workload, organization, failure state, the
  * full ordered StatRegistry snapshot (exact u64 counters, shortest-
  * round-trip reals), the application output vector and the
- * Doppelgänger geometry. The typed compatibility views on RunResult
- * (LlcStats, HierarchyStats, fault tallies, guardrail scalars) are
- * re-derived from the snapshot on load. NOT persisted: the raw
+ * Doppelgänger geometry. The typed views on RunResult
+ * (HierarchyStats, fault tallies, guardrail scalars) are re-derived
+ * from the snapshot on load; LLC stats are read from the snapshot by
+ * name and have no typed copy. NOT persisted: the raw
  * fault-event trace and the guardrail's degradation intervals —
  * campaigns that analyse those re-run without a journal.
  *
@@ -66,7 +67,7 @@ std::string journalRecordJson(const std::string &fingerprint,
 
 /**
  * Parse one journal line. On success fills @p fingerprint and
- * @p result (compatibility views re-derived from the snapshot) and
+ * @p result (typed views re-derived from the snapshot) and
  * returns true; on any malformation fills @p why and returns false.
  */
 bool parseJournalRecord(const std::string &line,

@@ -6,8 +6,9 @@
  * "llc.sliceN" per slice of a sliced build): organizations whose
  * counters live directly under the group (baseline, bdi, dedup) add
  * the derived formulas there; organizations whose counters live in
- * subgroups (split, uniDoppelgänger) expose an aggregate whole-LLC
- * view under the group instead.
+ * subgroups (split, uniDoppelgänger, uniDoppBdi) expose an aggregate
+ * whole-LLC view under the group instead, which is what
+ * LastLevelCache::stats() reads.
  */
 
 #include <algorithm>
@@ -35,8 +36,7 @@ buildBaseline(MainMemory &memory, const ApproxRegistry &registry,
     auto ptr = std::make_unique<ConventionalLlc>(
         memory, cfg.baselineBytes, cfg.llcWays, cfg.llcLatency,
         &registry, ReplPolicy::LRU, &stats, group);
-    registerLlcFormulas(stats.group(group),
-                        [llc = ptr.get()] { return llc->stats(); });
+    registerLlcFormulas(stats.group(group));
     built.llc = std::move(ptr);
     return built;
 }
@@ -56,7 +56,6 @@ buildSplitDopp(MainMemory &memory, const ApproxRegistry &registry,
     built.doppConfig = sc.dopp;
     auto ptr =
         std::make_unique<SplitLlc>(memory, sc, registry, &stats, group);
-    built.splits.push_back(ptr.get());
     built.dopps.push_back(&ptr->doppelganger());
     built.llc = std::move(ptr);
     return built;
@@ -71,8 +70,7 @@ buildUniDopp(MainMemory &memory, const ApproxRegistry &registry,
     built.doppConfig = uniDoppConfig(cfg);
     auto ptr = makeDoppEngine(memory, built.doppConfig, &registry,
                               &stats, group + ".dopp");
-    registerLlcStatsView(stats.group(group),
-                         [llc = ptr.get()] { return llc->stats(); });
+    registerLlcStatsView(stats.group(group), {"dopp"});
     built.dopps.push_back(ptr.get());
     built.llc = std::move(ptr);
     return built;
@@ -91,8 +89,7 @@ buildBdi(MainMemory &memory, const ApproxRegistry &registry,
     LlcBuilt built;
     auto ptr =
         std::make_unique<BdiLlc>(memory, bc, &registry, &stats, group);
-    registerLlcFormulas(stats.group(group),
-                        [llc = ptr.get()] { return llc->stats(); });
+    registerLlcFormulas(stats.group(group));
     built.llc = std::move(ptr);
     return built;
 }
@@ -115,8 +112,7 @@ buildDedup(MainMemory &memory, const ApproxRegistry &,
 
     LlcBuilt built;
     auto ptr = std::make_unique<DedupLlc>(memory, dc, &stats, group);
-    registerLlcFormulas(stats.group(group),
-                        [llc = ptr.get()] { return llc->stats(); });
+    registerLlcFormulas(stats.group(group));
     built.llc = std::move(ptr);
     return built;
 }
@@ -138,8 +134,6 @@ buildUniDoppBdi(MainMemory &memory, const ApproxRegistry &registry,
     built.doppConfig = dc;
     auto ptr = std::make_unique<UniDoppBdiLlc>(memory, dc, &registry,
                                                &stats, group);
-    registerLlcStatsView(stats.group(group),
-                         [llc = ptr.get()] { return llc->stats(); });
     built.dopps.push_back(&ptr->inner());
     built.llc = std::move(ptr);
     return built;
@@ -158,8 +152,7 @@ buildGdish(MainMemory &memory, const ApproxRegistry &registry,
     LlcBuilt built;
     auto ptr = std::make_unique<GdishLlc>(memory, gc, &registry,
                                           &stats, group);
-    registerLlcFormulas(stats.group(group),
-                        [llc = ptr.get()] { return llc->stats(); });
+    registerLlcFormulas(stats.group(group));
     built.llc = std::move(ptr);
     return built;
 }
@@ -182,8 +175,7 @@ buildApproxDedup(MainMemory &memory, const ApproxRegistry &registry,
     LlcBuilt built;
     auto ptr = std::make_unique<ApproxDedupLlc>(memory, ac, &registry,
                                                 &stats, group);
-    registerLlcFormulas(stats.group(group),
-                        [llc = ptr.get()] { return llc->stats(); });
+    registerLlcFormulas(stats.group(group));
     built.llc = std::move(ptr);
     return built;
 }

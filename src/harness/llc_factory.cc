@@ -127,8 +127,6 @@ buildLlc(const std::string &name, MainMemory &memory,
         LlcBuilt b = build(sliceCfg, group);
         if (i == 0)
             agg.doppConfig = b.doppConfig;
-        agg.splits.insert(agg.splits.end(), b.splits.begin(),
-                          b.splits.end());
         agg.dopps.insert(agg.dopps.end(), b.dopps.begin(),
                          b.dopps.end());
         slices.push_back(std::move(b.llc));
@@ -140,11 +138,9 @@ buildLlc(const std::string &name, MainMemory &memory,
     if (sc.count > 1) {
         // Merged aggregate: every per-slice stat reappears summed
         // under "llc" with exactly the unsliced name set, so report
-        // layers and compatibility views keep working unchanged.
+        // layers and the front end's stats() keep working unchanged.
         stats.registerGroupMerge("llc", childGroups);
-        registerLlcFormulas(
-            stats.group("llc"),
-            [llc = sliced.get()] { return llc->stats(); });
+        registerLlcFormulas(stats.group("llc"));
     }
     agg.llc = std::move(sliced);
     return agg;

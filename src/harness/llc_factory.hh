@@ -32,12 +32,9 @@ struct LlcBuilt
 {
     std::unique_ptr<LastLevelCache> llc;
 
-    /** Every split container in the build (per-half stats): empty for
-     * non-split organizations, one entry unsliced, one per slice
+    /** Every reachable Doppelgänger engine (occupancy): empty for
+     * organizations without one, one entry unsliced, one per slice
      * sliced. */
-    std::vector<const SplitLlc *> splits;
-
-    /** Every reachable Doppelgänger engine (occupancy), likewise. */
     std::vector<const DoppEngine *> dopps;
 
     /** Geometry actually used, for the energy model; defaulted for

@@ -124,82 +124,71 @@ LlcCounters::LlcCounters(StatGroup g)
 {
 }
 
-LlcStats
-LlcCounters::view() const
-{
-    LlcStats s;
-    s.fetches = fetches.value();
-    s.fetchHits = fetchHits.value();
-    s.fetchMisses = fetchMisses.value();
-    s.writebacksIn = writebacksIn.value();
-    s.evictions = evictions.value();
-    s.dataEvictions = dataEvictions.value();
-    s.dirtyWritebacks = dirtyWritebacks.value();
-    s.backInvalidations = backInvalidations.value();
-    s.tagArray.reads = tagArray.reads.value();
-    s.tagArray.writes = tagArray.writes.value();
-    s.mtagArray.reads = mtagArray.reads.value();
-    s.mtagArray.writes = mtagArray.writes.value();
-    s.dataArray.reads = dataArray.reads.value();
-    s.dataArray.writes = dataArray.writes.value();
-    s.mapGens = mapGens.value();
-    s.linkedTagsSum = linkedTagsSum.value();
-    s.linkedTagsSamples = linkedTagsSamples.value();
-    s.faultsInjected = faultsInjected.value();
-    s.faultsDetected = faultsDetected.value();
-    s.faultsRepaired = faultsRepaired.value();
-    s.repairTagsDropped = repairTagsDropped.value();
-    s.repairEntriesDropped = repairEntriesDropped.value();
-    s.degradedFills = degradedFills.value();
-    return s;
-}
-
 void
-LlcCounters::reset()
+registerLlcStatsView(StatGroup group,
+                     const std::vector<std::string> &children)
 {
-    fetches.reset();
-    fetchHits.reset();
-    fetchMisses.reset();
-    writebacksIn.reset();
-    evictions.reset();
-    dataEvictions.reset();
-    dirtyWritebacks.reset();
-    backInvalidations.reset();
-    tagArray.reads.reset();
-    tagArray.writes.reset();
-    mtagArray.reads.reset();
-    mtagArray.writes.reset();
-    dataArray.reads.reset();
-    dataArray.writes.reset();
-    mapGens.reset();
-    linkedTagsSum.reset();
-    linkedTagsSamples.reset();
-    faultsInjected.reset();
-    faultsDetected.reset();
-    faultsRepaired.reset();
-    repairTagsDropped.reset();
-    repairEntriesDropped.reset();
-    degradedFills.reset();
-}
-
-void
-registerLlcStatsView(StatGroup group, std::function<LlcStats()> view)
-{
+    const StatRegistry *reg = &group.registry();
     for (const LlcStatField &f : llcStatFields()) {
-        group.counterFn(f.name,
-                        [view, get = f.get] { return get(view()); });
+        std::vector<std::string> members;
+        for (const std::string &c : children) {
+            std::string name = group.path() + "." + c + "." + f.name;
+            if (reg->contains(name))
+                members.push_back(std::move(name));
+        }
+        if (members.empty()) {
+            fatal("llc stats view '%s': no child registers '%s'",
+                  group.path().c_str(), f.name);
+        }
+        group.counterFn(f.name, [reg, members] {
+            u64 sum = 0;
+            for (const std::string &n : members)
+                sum += reg->counterValue(n);
+            return sum;
+        });
     }
-    registerLlcFormulas(group, std::move(view));
+    registerLlcFormulas(group);
 }
 
 void
-registerLlcFormulas(StatGroup group, std::function<LlcStats()> view)
+registerLlcFormulas(StatGroup group)
 {
-    group.formula("missRate", [view] { return view().missRate(); },
+    // Same arithmetic as LlcStats::missRate()/avgLinkedTags().
+    const StatRegistry *reg = &group.registry();
+    const auto ratio = [reg, &group](const char *num, const char *den) {
+        return [reg, num = group.path() + "." + num,
+                den = group.path() + "." + den] {
+            const u64 d = reg->counterValue(den);
+            return d ? static_cast<double>(reg->counterValue(num)) /
+                    static_cast<double>(d)
+                     : 0.0;
+        };
+    };
+    group.formula("missRate", ratio("fetchMisses", "fetches"),
                   "fetchMisses / fetches");
     group.formula("avgLinkedTags",
-                  [view] { return view().avgLinkedTags(); },
+                  ratio("linkedTagsSum", "linkedTagsSamples"),
                   "mean tags linked per evicted data entry");
+}
+
+const LlcStats &
+LastLevelCache::stats() const
+{
+    statsView = LlcStats{};
+    const std::string prefix = statPath + ".";
+    // An LLC that registers no counters (a pass-through test double)
+    // reads as all zero rather than failing.
+    if (!statsReg->contains(prefix + "fetches"))
+        return statsView;
+    for (const LlcStatField &f : llcStatFields())
+        f.ref(statsView) = statsReg->counterValue(prefix + f.name);
+    return statsView;
+}
+
+void
+LastLevelCache::resetStats()
+{
+    statsReg->reset(statPath);
 }
 
 ConventionalLlc::ConventionalLlc(MainMemory &memory, u64 size_bytes,

@@ -35,11 +35,14 @@ struct ArrayCounters
 {
     u64 reads = 0;
     u64 writes = 0;
-
-    u64 total() const { return reads + writes; }
 };
 
-/** Statistics exported by every LLC organization. */
+/**
+ * Typed read of one LLC's counters, as LastLevelCache::stats()
+ * returns it. The counters themselves live only in the StatRegistry
+ * (LlcCounters); this struct is filled by name from the LLC's own
+ * stat group on every stats() call and is never stored elsewhere.
+ */
 struct LlcStats
 {
     u64 fetches = 0;        ///< demand fetches from private L2 misses
@@ -93,11 +96,11 @@ struct LlcStats
 /**
  * Name + accessors for one LlcStats counter. The canonical field list
  * (llcStatFields) is the single place that enumerates the struct, so
- * field-wise aggregation (split-LLC stats summing) and the registry
- * compatibility view can never silently miss a counter: a
+ * the by-name stats() read and the aggregate views registered by
+ * registerLlcStatsView can never silently miss a counter: a
  * static_assert in llc.cc ties the list length to sizeof(LlcStats).
  * Field names use the registry's dotted convention ("tagArray.reads"),
- * so a view registered under group "llc" exports as
+ * so a counter registered under group "llc" exports as
  * "llc.tagArray.reads".
  */
 struct LlcStatField
@@ -124,11 +127,10 @@ struct ArrayCounterRefs
 /**
  * Registry-backed counter handles mirroring LlcStats field-for-field:
  * one Counter per u64 in the struct, registered under one stat group
- * at construction. LLC hot paths bump these handles; LlcStats itself
- * is reduced to the *compatibility view* view() produces for
- * aggregation, reports and the energy model's struct-based overloads.
- * A unit test pins the registered names against llcStatFields(), so
- * the view and the registry schema cannot drift apart.
+ * at construction. LLC hot paths bump these handles; everything else
+ * (stats(), resetStats(), reports, the energy model) reads or zeroes
+ * the counters by name. A unit test pins the registered names
+ * against llcStatFields(), so the two cannot drift apart.
  */
 struct LlcCounters
 {
@@ -159,29 +161,25 @@ struct LlcCounters
     Counter &repairTagsDropped;
     Counter &repairEntriesDropped;
     Counter &degradedFills;
-
-    /** Compatibility view: LlcStats snapshot of the counters. */
-    LlcStats view() const;
-
-    /** Zero every counter. */
-    void reset();
 };
 
 /**
- * Register a derived LlcStats-shaped family under @p group: one
- * integral stat per llcStatFields() entry plus the missRate and
- * avgLinkedTags formulas, all computed from @p view at snapshot time.
- * Used for aggregate "llc.*" stats of organizations whose own
- * counters live in subgroups (split halves, uniDoppelgänger).
+ * Register an aggregate LlcStats-shaped family under @p group for an
+ * organization whose counters live in subgroups: one integral stat
+ * per llcStatFields() entry, summing at snapshot time the same-named
+ * stat of every child group (`<group>.<child>.<field>`) that has one,
+ * plus the registerLlcFormulas() pair. Fatal if no child has a field.
+ * The split organization passes {"precise", "dopp", "route"} (route
+ * holds only degradedFills); uniDoppelgänger and uniDoppBdi mirror
+ * {"dopp"}.
  */
 void registerLlcStatsView(StatGroup group,
-                          std::function<LlcStats()> view);
+                          const std::vector<std::string> &children);
 
-/** Register only the derived formulas (missRate, avgLinkedTags) of
- * @p view under @p group — for organizations whose counters already
- * live directly under @p group. */
-void registerLlcFormulas(StatGroup group,
-                         std::function<LlcStats()> view);
+/** Register the derived formulas missRate and avgLinkedTags under
+ * @p group, computed from that group's own fetch and linked-tag
+ * counters at snapshot time. */
+void registerLlcFormulas(StatGroup group);
 
 /**
  * Per-phase wall-clock breakdown of the LLC access path, accumulated
@@ -306,25 +304,18 @@ class LastLevelCache
     virtual void setHotPathProfile(HotPathProfile *) {}
 
     /**
-     * Accumulated statistics, as the LlcStats compatibility view of
-     * this organization's registry counters. The reference stays
-     * valid for the cache's lifetime and is refreshed on every call.
+     * Accumulated statistics, read by name from this LLC's stat group
+     * (statGroupPath()) in statRegistry(): the group's own counters,
+     * or the aggregate a composite organization registered there
+     * (registerLlcStatsView, sliced merges). All zero while the group
+     * has no LLC counters. The reference stays valid for the cache's
+     * lifetime and is refreshed on every call.
      */
-    virtual const LlcStats &
-    stats() const
-    {
-        if (ctr)
-            statsView = ctr->view();
-        return statsView;
-    }
+    virtual const LlcStats &stats() const;
 
-    /** Zero the statistics (cache contents untouched). */
-    virtual void
-    resetStats()
-    {
-        if (ctr)
-            ctr->reset();
-    }
+    /** Zero every counter and distribution under this LLC's stat
+     * group, subgroups included (cache contents untouched). */
+    virtual void resetStats();
 
     /** Registry this LLC's counters are registered in (the per-run
      * registry, or the private one of standalone construction). */
@@ -348,8 +339,9 @@ class LastLevelCache
     /**
      * Create this organization's LlcCounters under the stat group.
      * Concrete organizations that count events call this exactly once
-     * in their constructor; pure containers (split, dedup) skip it
-     * and override stats()/resetStats() instead.
+     * in their constructor. Containers skip it: their engines register
+     * under the same group (dedup), or they register an aggregate
+     * view there (split, uniDoppBdi).
      */
     void
     initLlcCounters()
@@ -364,9 +356,9 @@ class LastLevelCache
     std::unique_ptr<LlcCounters> ctr; ///< set by initLlcCounters()
     FaultInjector *faults = nullptr;
     QorGuardrail *guardrail = nullptr;
-    mutable LlcStats statsView; ///< storage behind stats()
 
   private:
+    mutable LlcStats statsView; ///< storage behind stats()
     std::unique_ptr<StatRegistry> ownedStats;
     StatRegistry *statsReg;
     std::string statPath;

@@ -91,26 +91,6 @@ SlicedLlc::setHotPathProfile(HotPathProfile *p)
         s->setHotPathProfile(p);
 }
 
-const LlcStats &
-SlicedLlc::stats() const
-{
-    LlcStats sum;
-    for (const auto &s : subs) {
-        const LlcStats &x = s->stats();
-        for (const LlcStatField &f : llcStatFields())
-            f.ref(sum) += f.get(x);
-    }
-    statsView = sum;
-    return statsView;
-}
-
-void
-SlicedLlc::resetStats()
-{
-    for (const auto &s : subs)
-        s->resetStats();
-}
-
 namespace
 {
 

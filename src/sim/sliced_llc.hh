@@ -52,7 +52,9 @@ class SlicedLlc : public LastLevelCache
   public:
     /**
      * @param slices one factory-built sub-LLC per slice (their
-     *        counters already live under per-slice stat groups)
+     *        counters already live under per-slice stat groups;
+     *        stats() reads the merged aggregate the factory registers
+     *        under @p stat_group)
      * @param hash slice-selection policy
      * @param worker_threads > 1 allows concurrent replay(); routed
      *        accesses never start a thread
@@ -76,10 +78,6 @@ class SlicedLlc : public LastLevelCache
     void setFaultInjector(FaultInjector *fi) override;
     void setGuardrail(QorGuardrail *g) override;
     void setHotPathProfile(HotPathProfile *p) override;
-
-    /** Field-wise sum of every slice's stats. */
-    const LlcStats &stats() const override;
-    void resetStats() override;
 
     /** @name Introspection */
     /// @{

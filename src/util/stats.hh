@@ -372,6 +372,9 @@ class StatGroup
 
     const std::string &path() const { return prefix; }
 
+    /** The registry this group registers into. */
+    StatRegistry &registry() const { return *reg; }
+
   private:
     friend class StatRegistry;
     StatGroup(StatRegistry &r, std::string p)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 
 #include "energy/energy_model.hh"
 #include "energy/hardware_cost.hh"
@@ -251,17 +252,47 @@ TEST(HardwareCost, MapBitsAffectTagWidth)
 // Energy model arithmetic.
 // ---------------------------------------------------------------------
 
+namespace
+{
+
+/**
+ * Snapshot holding every counter the energy model reads under "llc",
+ * "llc.precise" and "llc.dopp" (zero unless set in @p counts) plus
+ * "run.runtimeCycles" = @p cycles — the shape of a run's registry
+ * snapshot as far as the energy model is concerned.
+ */
+StatSnapshot
+energySnapshot(Tick cycles, const std::map<std::string, u64> &counts = {})
+{
+    std::vector<StatValue> values;
+    for (const char *group : {"llc", "llc.precise", "llc.dopp"}) {
+        for (const char *field :
+             {"tagArray.reads", "tagArray.writes", "mtagArray.reads",
+              "mtagArray.writes", "dataArray.reads", "dataArray.writes",
+              "mapGens"}) {
+            const std::string name = std::string(group) + "." + field;
+            const auto it = counts.find(name);
+            values.push_back(
+                {name, true, it == counts.end() ? 0 : it->second, 0.0});
+        }
+    }
+    values.push_back({"run.runtimeCycles", true, cycles, 0.0});
+    return StatSnapshot::fromValues(std::move(values));
+}
+
+} // namespace
+
 TEST(EnergyModel, BaselineEnergyScalesWithAccesses)
 {
     const EnergyModel em;
-    LlcStats s;
-    s.tagArray.reads = 1000;
-    s.dataArray.reads = 1000;
-    const EnergyResult one = em.baseline(s, 1000);
-    LlcStats s2 = s;
-    s2.tagArray.reads = 2000;
-    s2.dataArray.reads = 2000;
-    const EnergyResult two = em.baseline(s2, 1000);
+    const EnergyResult one = em.baseline(
+        energySnapshot(1000, {{"llc.tagArray.reads", 1000},
+                              {"llc.dataArray.reads", 1000}}),
+        "llc");
+    const EnergyResult two = em.baseline(
+        energySnapshot(1000, {{"llc.tagArray.reads", 2000},
+                              {"llc.dataArray.reads", 2000}}),
+        "llc");
     EXPECT_NEAR(two.dynamicPj / one.dynamicPj, 2.0, 1e-9);
     EXPECT_DOUBLE_EQ(one.leakagePj, two.leakagePj);
 }
@@ -269,20 +300,17 @@ TEST(EnergyModel, BaselineEnergyScalesWithAccesses)
 TEST(EnergyModel, LeakageScalesWithRuntime)
 {
     const EnergyModel em;
-    LlcStats s;
-    const EnergyResult a = em.baseline(s, 1000);
-    const EnergyResult b = em.baseline(s, 3000);
+    const EnergyResult a = em.baseline(energySnapshot(1000), "llc");
+    const EnergyResult b = em.baseline(energySnapshot(3000), "llc");
     EXPECT_NEAR(b.leakagePj / a.leakagePj, 3.0, 1e-9);
 }
 
 TEST(EnergyModel, MapGenChargedAt168pJ)
 {
     const EnergyModel em;
-    LlcStats precise;
-    LlcStats dopp;
-    dopp.mapGens = 1000;
     const EnergyResult e =
-        em.split(precise, dopp, DoppConfig{}, 0);
+        em.split(energySnapshot(0, {{"llc.dopp.mapGens", 1000}}),
+                 "llc.precise", "llc.dopp", DoppConfig{});
     EXPECT_DOUBLE_EQ(e.mapGenPj, 168.0 * 1000);
     EXPECT_DOUBLE_EQ(e.dynamicPj, e.mapGenPj);
 }
@@ -292,36 +320,36 @@ TEST(EnergyModel, SplitPerAccessCheaperThanBaseline)
     // One access to each structure: the Dopp side must be much
     // cheaper than one baseline access (the source of Fig 11a).
     const EnergyModel em;
-    LlcStats base;
-    base.tagArray.reads = 1;
-    base.dataArray.reads = 1;
-    const double basePj = em.baseline(base, 0).dynamicPj;
+    const double basePj =
+        em.baseline(energySnapshot(0, {{"llc.tagArray.reads", 1},
+                                       {"llc.dataArray.reads", 1}}),
+                    "llc")
+            .dynamicPj;
 
-    LlcStats precise;
-    LlcStats dopp;
-    dopp.tagArray.reads = 1;
-    dopp.mtagArray.reads = 1;
-    dopp.dataArray.reads = 1;
     const double doppPj =
-        em.split(precise, dopp, DoppConfig{}, 0).dynamicPj;
+        em.split(energySnapshot(0, {{"llc.dopp.tagArray.reads", 1},
+                                    {"llc.dopp.mtagArray.reads", 1},
+                                    {"llc.dopp.dataArray.reads", 1}}),
+                 "llc.precise", "llc.dopp", DoppConfig{})
+            .dynamicPj;
     EXPECT_GT(basePj / doppPj, 3.0);
 }
 
 TEST(EnergyModel, UnifiedUsesUniStructures)
 {
     const EnergyModel em;
-    LlcStats s;
-    s.tagArray.reads = 1;
+    const StatSnapshot snap =
+        energySnapshot(0, {{"llc.dopp.tagArray.reads", 1}});
     DoppConfig uni;
     uni.tagEntries = 32 * 1024;
     uni.dataEntries = 16 * 1024;
     uni.unified = true;
-    const double uniTagPj = em.unified(s, uni, 0).dynamicPj;
+    const double uniTagPj = em.unified(snap, "llc.dopp", uni).dynamicPj;
     // The 316 KB uni tag array costs more per read than the 154 KB
     // split tag array.
-    LlcStats precise;
     const double splitTagPj =
-        em.split(precise, s, DoppConfig{}, 0).dynamicPj;
+        em.split(snap, "llc.precise", "llc.dopp", DoppConfig{})
+            .dynamicPj;
     EXPECT_GT(uniTagPj, splitTagPj);
 }
 

@@ -95,7 +95,7 @@ TEST(Harness, BaselineRunProducesStats)
     EXPECT_EQ(r.organization, "baseline");
     EXPECT_GT(r.runtime, 0u);
     EXPECT_FALSE(r.output.empty());
-    EXPECT_GT(r.llc.fetches, 0u);
+    EXPECT_GT(r.stats.counter("llc.fetches"), 0u);
     EXPECT_GT(r.hierarchy.accesses, 0u);
     EXPECT_GT(r.offChipTraffic(), 0u);
 }
@@ -107,17 +107,20 @@ TEST(Harness, RunIsDeterministic)
     EXPECT_EQ(a.runtime, b.runtime);
     EXPECT_EQ(a.output, b.output);
     EXPECT_EQ(a.memReads, b.memReads);
-    EXPECT_EQ(a.llc.fetchMisses, b.llc.fetchMisses);
+    EXPECT_EQ(a.stats.counter("llc.fetchMisses"),
+              b.stats.counter("llc.fetchMisses"));
 }
 
 TEST(Harness, SplitRunSeparatesHalves)
 {
     const RunResult r =
         runWorkload("jpeg", tinyRun("split-doppelganger"));
-    EXPECT_GT(r.doppHalf.fetches, 0u); // jpeg is ~all approximate
-    EXPECT_EQ(r.llc.fetches,
-              r.doppHalf.fetches + r.preciseHalf.fetches);
-    EXPECT_GT(r.doppHalf.mapGens, 0u);
+    // jpeg is ~all approximate
+    EXPECT_GT(r.stats.counter("llc.dopp.fetches"), 0u);
+    EXPECT_EQ(r.stats.counter("llc.fetches"),
+              r.stats.counter("llc.dopp.fetches") +
+                  r.stats.counter("llc.precise.fetches"));
+    EXPECT_GT(r.stats.counter("llc.dopp.mapGens"), 0u);
     EXPECT_GT(r.tagsPerDataEntry, 0.0);
 }
 
@@ -135,7 +138,7 @@ TEST(Harness, DedupRunWorks)
     const RunResult r =
         runWorkload("blackscholes", tinyRun("dedup"));
     EXPECT_EQ(r.organization, "dedup");
-    EXPECT_GT(r.llc.fetches, 0u);
+    EXPECT_GT(r.stats.counter("llc.fetches"), 0u);
 }
 
 TEST(Harness, SnapshotHookDelivers)
@@ -267,12 +270,12 @@ TEST(ResultsIo, LoadCsvRoundTrips)
     EXPECT_EQ(rows[0].organization, r.organization);
     EXPECT_EQ(rows[0].value("run.runtimeCycles"),
               static_cast<double>(r.runtime));
-    EXPECT_EQ(rows[0].value("llc.fetches"),
-              static_cast<double>(r.llc.fetches));
-    EXPECT_EQ(rows[0].value("llc.faultsInjected"),
-              static_cast<double>(r.llc.faultsInjected));
-    EXPECT_EQ(rows[0].value("llc.faultsRepaired"),
-              static_cast<double>(r.llc.faultsRepaired));
+    for (const char *name :
+         {"llc.fetches", "llc.faultsInjected", "llc.faultsRepaired"}) {
+        EXPECT_EQ(rows[0].value(name),
+                  static_cast<double>(r.stats.counter(name)))
+            << name;
+    }
 }
 
 TEST(ResultsIoDeathTest, LoadMissingFileIsFatal)
@@ -343,10 +346,12 @@ TEST(Harness, FaultCountersReachRunResult)
 
     EXPECT_GT(r.fault.totalInjected(), 0u);
     EXPECT_EQ(r.faultTrace.size(), r.fault.totalInjected());
-    EXPECT_EQ(r.llc.faultsDetected, r.fault.detected);
-    EXPECT_EQ(r.llc.faultsRepaired, r.fault.repairs);
-    EXPECT_EQ(r.llc.repairTagsDropped, r.fault.tagsDropped);
-    EXPECT_EQ(r.llc.repairEntriesDropped, r.fault.entriesDropped);
+    EXPECT_EQ(r.stats.counter("llc.faultsDetected"), r.fault.detected);
+    EXPECT_EQ(r.stats.counter("llc.faultsRepaired"), r.fault.repairs);
+    EXPECT_EQ(r.stats.counter("llc.repairTagsDropped"),
+              r.fault.tagsDropped);
+    EXPECT_EQ(r.stats.counter("llc.repairEntriesDropped"),
+              r.fault.entriesDropped);
 }
 
 } // namespace dopp

@@ -87,9 +87,9 @@ TEST(Integration, SplitEnergyBelowBaseline)
         runWorkload("jpeg", mkConfig("baseline"));
     const RunResult dopp =
         runWorkload("jpeg", mkConfig("split-doppelganger"));
-    const EnergyResult be = em.baseline(base.llc, base.runtime);
-    const EnergyResult de = em.split(dopp.preciseHalf, dopp.doppHalf,
-                                     dopp.doppConfig, dopp.runtime);
+    const EnergyResult be = em.baseline(base.stats, "llc");
+    const EnergyResult de = em.split(dopp.stats, "llc.precise",
+                                     "llc.dopp", dopp.doppConfig);
     EXPECT_GT(be.dynamicPj / de.dynamicPj, 1.5);
     EXPECT_GT(be.leakagePj / de.leakagePj, 1.1);
 }
@@ -139,10 +139,13 @@ TEST(Integration, EvictionStatsPopulated)
     // at reduced workload scale.
     const RunResult r = runWorkload(
         "canneal", mkConfig("split-doppelganger", 0.2, 14, 0.03125));
-    EXPECT_GT(r.doppHalf.evictions + r.doppHalf.dataEvictions, 0u);
-    EXPECT_GT(r.doppHalf.mapGens, 0u);
+    EXPECT_GT(r.stats.counter("llc.dopp.evictions") +
+                  r.stats.counter("llc.dopp.dataEvictions"),
+              0u);
+    EXPECT_GT(r.stats.counter("llc.dopp.mapGens"), 0u);
     // The paper's avg-linked-tags statistic is measurable.
-    EXPECT_GT(r.doppHalf.avgLinkedTags(), 0.0);
+    EXPECT_GT(r.stats.counter("llc.dopp.linkedTagsSum"), 0u);
+    EXPECT_GT(r.stats.counter("llc.dopp.linkedTagsSamples"), 0u);
 }
 
 TEST(Integration, HigherScaleMoreAccesses)

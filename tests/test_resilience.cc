@@ -287,7 +287,7 @@ TEST(Journal, FingerprintDistinguishesSliceFields)
 
 TEST(Journal, RecordRoundTripsBitExactly)
 {
-    // A faulted + guardrailed split run exercises every compat view.
+    // A faulted + guardrailed split run exercises every typed view.
     RunConfig cfg = tinyConfig("blackscholes", "split-doppelganger");
     cfg.fault.dataRate = 0.01;
     cfg.fault.tagMetaRate = 0.01;
@@ -313,18 +313,13 @@ TEST(Journal, RecordRoundTripsBitExactly)
     EXPECT_EQ(back.stats, live.stats);
     EXPECT_EQ(runResultCsvRow(back), runResultCsvRow(live));
 
-    // Output vector and the typed compatibility views.
+    // Output vector and the typed views (LLC stats have none: they
+    // are read from the snapshot compared above).
     EXPECT_EQ(back.output, live.output);
     EXPECT_EQ(back.runtime, live.runtime);
     EXPECT_EQ(back.tagsPerDataEntry, live.tagsPerDataEntry);
     EXPECT_EQ(back.memReads, live.memReads);
     EXPECT_EQ(back.memWrites, live.memWrites);
-    for (const LlcStatField &f : llcStatFields()) {
-        SCOPED_TRACE(f.name);
-        EXPECT_EQ(f.get(back.llc), f.get(live.llc));
-        EXPECT_EQ(f.get(back.preciseHalf), f.get(live.preciseHalf));
-        EXPECT_EQ(f.get(back.doppHalf), f.get(live.doppHalf));
-    }
     EXPECT_EQ(back.hierarchy.accesses, live.hierarchy.accesses);
     EXPECT_EQ(back.hierarchy.l1Hits, live.hierarchy.l1Hits);
     EXPECT_EQ(back.hierarchy.l2Misses, live.hierarchy.l2Misses);

@@ -792,7 +792,7 @@ TEST(SlicedRun, PerSliceGroupsAppearAndAggregateSums)
 
 TEST(SlicedRun, UnslicedStatNameSetSurvivesUnderAggregate)
 {
-    // Report layers and compatibility views read "llc.*" names; the
+    // Report layers, the energy model and stats() read "llc.*" names; the
     // merged aggregate must expose exactly the unsliced set.
     const RunResult flat = runWorkload(tinyRun("split-doppelganger"));
     RunConfig cfg = tinyRun("split-doppelganger");
@@ -812,15 +812,15 @@ TEST(SlicedRun, SplitHalvesAggregateAcrossSlices)
     const RunResult sliced = runWorkload(cfg);
     const RunResult flat = runWorkload(tinyRun("split-doppelganger"));
 
-    // The compatibility halves sum both slices' halves — a sliced run
-    // must not silently report only slice 0.
-    EXPECT_EQ(sliced.preciseHalf.fetches +
-                  sliced.doppHalf.fetches,
+    // The merged halves sum both slices' halves — a sliced run must
+    // not silently report only slice 0.
+    EXPECT_EQ(sliced.stats.counter("llc.precise.fetches") +
+                  sliced.stats.counter("llc.dopp.fetches"),
               sliced.stats.counter("llc.slice0.precise.fetches") +
                   sliced.stats.counter("llc.slice1.precise.fetches") +
                   sliced.stats.counter("llc.slice0.dopp.fetches") +
                   sliced.stats.counter("llc.slice1.dopp.fetches"));
-    EXPECT_GT(flat.llc.fetches, 0u);
+    EXPECT_GT(flat.stats.counter("llc.fetches"), 0u);
 }
 
 TEST(SlicedRun, MapSpaceModeScalesPerSliceMapBits)

@@ -1,9 +1,10 @@
 /**
  * @file
  * StatRegistry observability layer: registry/snapshot semantics, the
- * LlcStats compatibility view staying in sync with the registered
- * counter names, the LLC factory, and the schema-drift guard tying
- * every registered counter to the CSV/JSON exports.
+ * by-name LlcStats read (LastLevelCache::stats()) staying in sync
+ * with the registered counter names, the LLC factory, the
+ * schema-drift guard tying every registered counter to the CSV/JSON
+ * exports, and per-organization snapshot pins.
  */
 
 #include <algorithm>
@@ -41,6 +42,88 @@ constexpr const char *paperOrgs[] = {
     "baseline", "split-doppelganger", "uniDoppelganger",
     "dedup",    "bdi",
 };
+
+/** Pass-through LLC that registers no counters of its own. */
+class NullLlc final : public LastLevelCache
+{
+  public:
+    NullLlc(MainMemory &m, StatRegistry *reg)
+        : LastLevelCache(m, reg, "llc")
+    {
+    }
+    FetchResult fetch(Addr, u8 *) override { return {}; }
+    void writeback(Addr, const u8 *) override {}
+    bool contains(Addr) const override { return false; }
+    void forEachBlock(
+        const std::function<void(const LlcBlockInfo &)> &) const override
+    {
+    }
+    void flush() override {}
+    const char *name() const override { return "null"; }
+};
+
+/**
+ * Factory build of @p org outside runWorkload, over a 1 MB
+ * approximate F32 region at address 0 (precise memory above it);
+ * @p slices 0 is the unsliced build.
+ */
+struct LlcRig
+{
+    LlcRig(const std::string &org, u32 slices)
+    {
+        ApproxRegion region;
+        region.base = 0;
+        region.size = 1 << 20;
+        region.type = ElemType::F32;
+        region.minValue = 0.0;
+        region.maxValue = 1.0;
+        region.name = "approx";
+        approx.add(region);
+        RunConfig cfg;
+        cfg.llcName = org;
+        cfg.sliceCount = slices;
+        built = buildLlc(org, mem, approx, cfg, stats);
+    }
+
+    /** @p n fetch+writeback pairs, alternating approximate and
+     * precise blocks, writing back blocks of a few repeated values
+     * (shareable, compressible). */
+    void
+    drive(u32 n)
+    {
+        LastLevelCache &llc = *built.llc;
+        BlockData b;
+        for (u32 i = 0; i < n; ++i) {
+            const Addr addr = (i & 1 ? 0x200000 : 0) +
+                static_cast<Addr>(i / 2) * blockBytes;
+            llc.fetch(addr, b.data());
+            for (unsigned e = 0; e < 16; ++e) {
+                setBlockElement(b.data(), ElemType::F32, e,
+                                static_cast<double>(i % 8) / 8.0);
+            }
+            llc.writeback(addr, b.data());
+        }
+    }
+
+    MainMemory mem;
+    ApproxRegistry approx;
+    StatRegistry stats;
+    LlcBuilt built;
+};
+
+/** 64-bit FNV-1a over every (name, value) of @p snap, in order. */
+u64
+snapshotDigest(const StatSnapshot &snap)
+{
+    u64 h = 0xcbf29ce484222325ULL;
+    for (const StatValue &v : snap.values()) {
+        for (unsigned char c : v.name + "=" + v.str() + "\n") {
+            h ^= c;
+            h *= 0x100000001b3ULL;
+        }
+    }
+    return h;
+}
 
 } // namespace
 
@@ -202,7 +285,7 @@ TEST(StatSnapshot, EqualityComparesNamesAndValues)
 }
 
 // ---------------------------------------------------------------------
-// LlcCounters ↔ llcStatFields sync (the compatibility view).
+// LlcCounters ↔ llcStatFields sync and the by-name stats() read.
 // ---------------------------------------------------------------------
 
 TEST(LlcCounters, EveryCanonicalFieldIsRegistered)
@@ -220,19 +303,25 @@ TEST(LlcCounters, EveryCanonicalFieldIsRegistered)
 
 TEST(LlcCounters, ViewMirrorsCounterValues)
 {
+    // stats() and resetStats() read and zero the LLC's stat group by
+    // name, whoever registered the counters there.
+    MainMemory mem;
     StatRegistry reg;
+    NullLlc llc(mem, &reg);
+    EXPECT_EQ(llc.stats().fetches, 0u); // empty group: zeros, no fatal
+
     LlcCounters ctr(reg.group("llc"));
     ctr.fetches += 9;
     ctr.tagArray.reads += 4;
     ctr.degradedFills += 2;
 
-    const LlcStats s = ctr.view();
+    const LlcStats s = llc.stats();
     EXPECT_EQ(s.fetches, 9u);
     EXPECT_EQ(s.tagArray.reads, 4u);
     EXPECT_EQ(s.degradedFills, 2u);
 
-    ctr.reset();
-    EXPECT_EQ(ctr.view().fetches, 0u);
+    llc.resetStats();
+    EXPECT_EQ(llc.stats().fetches, 0u);
     EXPECT_EQ(reg.snapshot().counter("llc.tagArray.reads"), 0u);
 }
 
@@ -240,22 +329,27 @@ TEST(LlcCounters, RegisteredViewMatchesDirectRegistration)
 {
     // An aggregate view registered under "llc" must use the exact
     // names direct registration uses, so split/uniDopp exports line
-    // up with baseline exports column-for-column.
+    // up with baseline exports column-for-column, and must mirror the
+    // child's values.
     StatRegistry direct, viewed;
     LlcCounters ctr(direct.group("llc"));
-    LlcStats fixed = ctr.view();
-    registerLlcStatsView(viewed.group("llc"), [fixed] { return fixed; });
+    LlcCounters child(viewed.group("llc.dopp"));
+    child.fetches += 5;
+    child.fetchMisses += 2;
+    registerLlcStatsView(viewed.group("llc"), {"dopp"});
 
-    std::vector<std::string> directNames = direct.names();
     std::vector<std::string> viewedNames = viewed.names();
     // The view adds the derived formulas on top of the counters.
-    for (const std::string &n : directNames) {
+    for (const std::string &n : direct.names()) {
         EXPECT_NE(std::find(viewedNames.begin(), viewedNames.end(), n),
                   viewedNames.end())
             << "view is missing '" << n << "'";
     }
     EXPECT_TRUE(viewed.contains("llc.missRate"));
     EXPECT_TRUE(viewed.contains("llc.avgLinkedTags"));
+    const StatSnapshot snap = viewed.snapshot();
+    EXPECT_EQ(snap.counter("llc.fetches"), 5u);
+    EXPECT_EQ(snap.value("llc.missRate"), 0.4);
 }
 
 // ---------------------------------------------------------------------
@@ -301,11 +395,7 @@ TEST(LlcFactory, CustomOrganizationPlugsIntoRunWorkload)
                             memory, cfg.baselineBytes / 4, cfg.llcWays,
                             cfg.llcLatency, &reg, ReplPolicy::LRU,
                             &stats, group);
-                        registerLlcFormulas(
-                            stats.group(group),
-                            [llc = built.llc.get()] {
-                                return llc->stats();
-                            });
+                        registerLlcFormulas(stats.group(group));
                         return built;
                     });
     }
@@ -371,28 +461,117 @@ TEST(SchemaDrift, CoreGroupsArePresentForEveryOrganization)
         EXPECT_TRUE(r.stats.has("mem.reads")) << org;
         EXPECT_TRUE(r.stats.has("mem.writes")) << org;
         EXPECT_TRUE(r.stats.has("run.runtimeCycles")) << org;
-        // The compatibility views read the same counters the
-        // snapshot records.
-        EXPECT_EQ(r.stats.counter("llc.fetches"), r.llc.fetches) << org;
+        // The typed views read the same counters the snapshot
+        // records.
         EXPECT_EQ(r.stats.counter("hierarchy.accesses"),
                   r.hierarchy.accesses) << org;
         EXPECT_EQ(r.stats.counter("mem.reads"), r.memReads) << org;
         EXPECT_EQ(r.stats.counter("run.runtimeCycles"), r.runtime) << org;
+
+        // LastLevelCache::stats() is the by-name read of the same
+        // "llc.*" counters the snapshot records.
+        LlcRig rig(org, 0);
+        rig.drive(512);
+        const LlcStats &s = rig.built.llc->stats();
+        const StatSnapshot snap = rig.stats.snapshot();
+        EXPECT_GT(s.fetches, 0u) << org;
+        for (const LlcStatField &f : llcStatFields()) {
+            EXPECT_EQ(f.value(s),
+                      snap.counter(std::string("llc.") + f.name))
+                << org << ": " << f.name;
+        }
     }
 }
 
 TEST(SchemaDrift, SplitRegistersHalvesAndAggregate)
 {
-    const RunResult r = runWorkload(tinyRun("split-doppelganger"));
-    EXPECT_TRUE(r.stats.has("llc.precise.fetches"));
-    EXPECT_TRUE(r.stats.has("llc.dopp.fetches"));
-    EXPECT_TRUE(r.stats.has("llc.route.degradedFills"));
-    EXPECT_EQ(r.stats.counter("llc.fetches"),
-              r.stats.counter("llc.precise.fetches") +
-                  r.stats.counter("llc.dopp.fetches"));
-    EXPECT_EQ(r.stats.counter("llc.precise.fetches"),
-              r.preciseHalf.fetches);
-    EXPECT_EQ(r.stats.counter("llc.dopp.fetches"), r.doppHalf.fetches);
+    // Every aggregate "llc.X" is exactly the sum of the halves'
+    // "llc.precise.X" + "llc.dopp.X" (plus the split's own routing
+    // counter for degradedFills), unsliced and merged over slices. The
+    // guardrail config degrades, so degradedFills is exercised too.
+    for (u32 slices : {0u, 2u}) {
+        RunConfig cfg = tinyRun("split-doppelganger");
+        cfg.sliceCount = slices;
+        cfg.fault.dataRate = 0.05;
+        cfg.fault.tagMetaRate = 0.01;
+        cfg.fault.mtagMetaRate = 0.01;
+        cfg.qor.budget = 0.0005;
+        cfg.qor.window = 16;
+        cfg.qor.minDwell = 8;
+        const RunResult r = runWorkload(cfg);
+        ASSERT_TRUE(r.stats.has("llc.precise.fetches")) << slices;
+        ASSERT_TRUE(r.stats.has("llc.dopp.fetches")) << slices;
+        ASSERT_TRUE(r.stats.has("llc.route.degradedFills")) << slices;
+        EXPECT_GT(r.stats.counter("llc.degradedFills"), 0u) << slices;
+        EXPECT_GT(r.stats.counter("llc.precise.fetches"), 0u) << slices;
+        EXPECT_GT(r.stats.counter("llc.dopp.fetches"), 0u) << slices;
+        for (const LlcStatField &f : llcStatFields()) {
+            const std::string name = f.name;
+            u64 sum = r.stats.counter("llc.precise." + name) +
+                r.stats.counter("llc.dopp." + name);
+            if (name == "degradedFills")
+                sum += r.stats.counter("llc.route.degradedFills");
+            EXPECT_EQ(r.stats.counter("llc." + name), sum)
+                << "slices=" << slices << ": " << name;
+        }
+    }
+}
+
+TEST(SchemaDrift, ResetStatsClearsEveryEventCounter)
+{
+    // resetStats() zeroes every counter and distribution under the
+    // LLC's group, the organization-specific ones (gdish fills, B∆I
+    // accounting) included. Dictionary state is not an event count
+    // and stays: dictWords counts the current contents, dictInserts
+    // and dictErases are lifetime tallies of the dictionary itself.
+    const auto kept = [](const std::string &name) {
+        const std::string leaf = name.substr(name.rfind('.') + 1);
+        return leaf == "dictWords" || leaf == "dictInserts" ||
+            leaf == "dictErases";
+    };
+    for (const std::string &org : registeredLlcNames()) {
+        for (u32 slices : {0u, 2u}) {
+            SCOPED_TRACE(org + " slices=" + std::to_string(slices));
+            LlcRig rig(org, slices);
+            rig.drive(4096);
+            EXPECT_GT(rig.built.llc->stats().fetches, 0u);
+
+            rig.built.llc->resetStats();
+            const StatSnapshot snap = rig.stats.snapshot();
+            for (const StatValue &v : snap.values()) {
+                if (v.integral && !kept(v.name)) {
+                    EXPECT_EQ(v.u, 0u) << v.name;
+                }
+            }
+        }
+    }
+}
+
+TEST(SchemaDrift, SnapshotsArePinnedForEveryOrganization)
+{
+    // Digest of a tiny kmeans run's full snapshot: every stat name in
+    // registration order plus its value. Values computed before the
+    // LLC stats moved to by-name reads; they must never move. A change here renames,
+    // reorders or changes a stat that reports and journals rely on.
+    const std::pair<const char *, u64> pins[] = {
+        {"baseline", 0xa276130151fee220ULL},
+        {"split-doppelganger", 0x3593c40890c2dc3ULL},
+        {"uniDoppelganger", 0x29ae4c7487b39d7cULL},
+        {"dedup", 0xcfc4f5200ade6427ULL},
+        {"bdi", 0xc629858547f78db0ULL},
+        {"uniDoppBdi", 0x192ba4cbd653835fULL},
+        {"gdish", 0xddf498d5a218069cULL},
+        {"approxDedup", 0x6cd5b013d50c7fcfULL},
+    };
+    for (const auto &[org, digest] : pins) {
+        // A 16 KB LLC, so the tiny run evicts and the organizations
+        // differ in their values, not only in their names.
+        RunConfig cfg = tinyRun(org);
+        cfg.baselineBytes = 16 * 1024;
+        const RunResult r = runWorkload(cfg);
+        EXPECT_EQ(snapshotDigest(r.stats), digest)
+            << org << ": 0x" << std::hex << snapshotDigest(r.stats);
+    }
 }
 
 TEST(SchemaDrift, MixedSchemasMergeIntoUnionColumns)

@@ -164,7 +164,8 @@ TEST(Trace, ReplayReproducesHierarchyBehaviour)
     EXPECT_EQ(stats.writes, run.hierarchy.stores);
     EXPECT_EQ(sys.stats().l1Hits, run.hierarchy.l1Hits);
     EXPECT_EQ(sys.stats().l2Misses, run.hierarchy.l2Misses);
-    EXPECT_EQ(llc.stats().fetchMisses, run.llc.fetchMisses);
+    EXPECT_EQ(llc.stats().fetchMisses,
+              run.stats.counter("llc.fetchMisses"));
     // Trace replay sees the same addresses but pokes no initial data,
     // so only *traffic counts* are compared, not values.
     EXPECT_EQ(mem.reads(), run.memReads);
@@ -289,7 +290,8 @@ TEST(Trace, MultiprogramReplayRunsOnSharedLlc)
     // The shared run misses at least as much as either alone would
     // have at the same size (disjoint address spaces only compete).
     EXPECT_GE(llc.stats().fetchMisses,
-              std::max(ra.llc.fetchMisses, rb.llc.fetchMisses));
+              std::max(ra.stats.counter("llc.fetchMisses"),
+                       rb.stats.counter("llc.fetchMisses")));
 }
 
 TEST(TraceDeathTest, InterleaveRejectsTooManyPrograms)
