@@ -126,17 +126,19 @@ diff <(json_keys BENCH_perf.json) <(json_keys "$SMOKE_DIR/BENCH_perf.json") || {
 }
 echo "ci: bench_perf smoke + schema check passed"
 
-# Differential hot-path suite: the optimized structure-of-arrays
-# Doppelgänger engine must stay bit-identical to the frozen reference
-# implementation. Run it serial and 4-wide so the contract holds under
-# the threaded batch runner too. HotpathDiff enumerates every
+# Differential hot-path suites: the optimized structure-of-arrays
+# Doppelgänger engine and the flat hierarchy (open-addressed
+# directory, structure-of-arrays private caches, one-probe L1 hit)
+# must stay bit-identical to their frozen reference implementations.
+# Run them serial and 4-wide so the contract holds under the threaded
+# batch runner too. HotpathDiff and HierarchyDiff enumerate every
 # registered organization (including uniDoppBdi/gdish/approxDedup);
 # NewOrgs adds the factory-organization registration, counter and
-# ref-vs-opt pins alongside it.
+# ref-vs-opt pins alongside them.
 DOPP_JOBS=1 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -j "$(nproc)" -R 'HotpathDiff|TagPool|NewOrgs'
+    -j "$(nproc)" -R 'HotpathDiff|HierarchyDiff|TagPool|NewOrgs'
 DOPP_JOBS=4 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -j "$(nproc)" -R 'HotpathDiff|TagPool|NewOrgs'
+    -j "$(nproc)" -R 'HotpathDiff|HierarchyDiff|TagPool|NewOrgs'
 echo "ci: differential hot-path suite passed (jobs=1 and jobs=4)"
 
 # Reference-vs-optimized stdout diff on a real figure bench: flip the

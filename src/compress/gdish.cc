@@ -40,12 +40,8 @@ GdishDict::acquire(const u8 *block)
 {
     if (!compressible(block))
         return false;
-    for (unsigned i = 0; i < gdishWordsPerBlock; ++i) {
-        auto [it, inserted] = words.try_emplace(wordAt(block, i), 0u);
-        if (inserted)
-            ++insertCount;
-        ++it->second;
-    }
+    for (unsigned i = 0; i < gdishWordsPerBlock; ++i)
+        ++words[wordAt(block, i)];
     return true;
 }
 
@@ -55,10 +51,8 @@ GdishDict::release(const u8 *block)
     for (unsigned i = 0; i < gdishWordsPerBlock; ++i) {
         auto it = words.find(wordAt(block, i));
         DOPP_ASSERT(it != words.end() && it->second > 0);
-        if (--it->second == 0) {
+        if (--it->second == 0)
             words.erase(it);
-            ++eraseCount;
-        }
     }
 }
 
@@ -122,12 +116,9 @@ GdishLlc::GdishLlc(MainMemory &memory, const GdishLlcConfig &config,
     g.counterFn(
         "dictWords", [d] { return static_cast<u64>(d->size()); },
         "distinct words currently materialized");
-    g.counterFn(
-        "dictInserts", [d] { return d->inserts(); },
-        "lifetime dictionary insertions");
-    g.counterFn(
-        "dictErases", [d] { return d->erases(); },
-        "dictionary entries freed at refcount zero");
+    dictInserts = &g.counter("dictInserts", "dictionary insertions");
+    dictErases = &g.counter("dictErases",
+                            "dictionary entries freed at refcount zero");
 }
 
 GdishLlc::Entry *
@@ -151,9 +142,18 @@ void
 GdishLlc::releaseEntry(Entry &e)
 {
     if (e.dictCompressed)
-        dict.release(e.data.data());
+        releaseWords(e.data.data());
     e.dictCompressed = false;
     e.valid = false;
+}
+
+void
+GdishLlc::releaseWords(const u8 *block)
+{
+    // Releasing only erases, so the shrink is the erase count.
+    const u32 before = dict.size();
+    dict.release(block);
+    *dictErases += before - dict.size();
 }
 
 void
@@ -200,7 +200,10 @@ unsigned
 GdishLlc::install(Entry &e, const u8 *block)
 {
     std::memcpy(e.data.data(), block, blockBytes);
+    // Acquiring only inserts, so the growth is the insert count.
+    const u32 before = dict.size();
     e.dictCompressed = dict.acquire(e.data.data());
+    *dictInserts += dict.size() - before;
     if (e.dictCompressed) {
         ++*compressedFills;
         e.size = gdishCompressedBlockBytes;
@@ -290,7 +293,7 @@ GdishLlc::writeback(Addr addr, const u8 *data)
     const u64 l0 = prof ? hotpathNowNs() : 0;
     set.usedBytes -= entry->size;
     if (entry->dictCompressed)
-        dict.release(entry->data.data());
+        releaseWords(entry->data.data());
     entry->dictCompressed = false;
     entry->size = 0;
     entry->stamp = ++clock;

@@ -81,12 +81,6 @@ class GdishDict
 
     u32 capacity() const { return cap; }
 
-    /** Lifetime insert count (dictionary churn). */
-    u64 inserts() const { return insertCount; }
-
-    /** Lifetime erase count (entries freed at refcount zero). */
-    u64 erases() const { return eraseCount; }
-
     /**
      * Structural self-check: no zero-refcount entries, and the
      * capacity bound holds. @p why receives the first violation.
@@ -99,8 +93,6 @@ class GdishDict
   private:
     u32 cap;
     std::unordered_map<u32, u32> words; ///< word → refcount
-    u64 insertCount = 0;
-    u64 eraseCount = 0;
 };
 
 /** Configuration of the GDISH LLC. */
@@ -181,6 +173,8 @@ class GdishLlc : public LastLevelCache
 
     /** Release dictionary refs and invalidate @p e (no writeback). */
     void releaseEntry(Entry &e);
+    /** dict.release(@p block), counting the entries it frees. */
+    void releaseWords(const u8 *block);
 
     /** Evict the LRU valid entry of @p set. @pre one exists. */
     void evictLru(Set &set, u32 set_idx);
@@ -202,6 +196,8 @@ class GdishLlc : public LastLevelCache
 
     Counter *compressedFills = nullptr;
     Counter *rawFills = nullptr;
+    Counter *dictInserts = nullptr;
+    Counter *dictErases = nullptr;
 };
 
 } // namespace dopp

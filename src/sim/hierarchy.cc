@@ -1,5 +1,7 @@
 #include "hierarchy.hh"
 
+#include <algorithm>
+#include <cstdio>
 #include <cstring>
 
 #include "util/logging.hh"
@@ -60,11 +62,33 @@ HierCounters::reset()
     invalidationsSent.reset();
 }
 
+namespace
+{
+
+/** Directory slots for @p cfg: a power of two of at least twice the
+ * blocks all L2s can hold. Entries of blocks no core holds are erased
+ * and L1 ⊆ L2, so live entries never exceed half the table. */
+u64
+directoryCapacity(const HierarchyConfig &cfg)
+{
+    const u64 l2Blocks = cfg.numCores * (cfg.l2Bytes / blockBytes);
+    return u64{1} << ceilLog2(std::max<u64>(2 * l2Blocks, 2));
+}
+
+u8
+coreBit(u32 core)
+{
+    return static_cast<u8>(1u << core);
+}
+
+} // namespace
+
 MemorySystem::MemorySystem(const HierarchyConfig &config,
                            LastLevelCache &llc, MainMemory &memory,
                            StatRegistry *stat_registry,
                            const std::string &stat_group)
     : cfg(config), llcRef(llc), mem(memory),
+      directory(directoryCapacity(config)),
       ownedStats(stat_registry ? nullptr
                                : std::make_unique<StatRegistry>())
 {
@@ -91,47 +115,45 @@ MemorySystem::MemorySystem(const HierarchyConfig &config,
 }
 
 void
-MemorySystem::dirMaybeErase(Addr addr)
+MemorySystem::dirMaybeErase(Addr addr, const DirEntry &de)
 {
-    auto it = directory.find(addr);
-    if (it != directory.end() && it->second.sharers == 0 &&
-        it->second.owner < 0) {
-        directory.erase(it);
-    }
+    if (de.sharers == 0 && de.owner < 0)
+        directory.erase(addr);
 }
 
 bool
 MemorySystem::invalidateOthers(Addr addr, int except, u8 *merged)
 {
-    auto it = directory.find(addr);
-    if (it == directory.end())
+    DirEntry *de = directory.find(addr);
+    if (!de)
         return false;
-    DirEntry &de = it->second;
 
     bool dirty = false;
     for (u32 c = 0; c < cfg.numCores; ++c) {
-        if (static_cast<int>(c) == except || !(de.sharers & (1u << c)))
+        if (static_cast<int>(c) == except || !(de->sharers & coreBit(c)))
             continue;
-        PrivateCache::Line *l1line = l1[c]->find(addr);
-        PrivateCache::Line *l2line = l2[c]->find(addr);
+        PrivateCache &c1 = *l1[c];
+        PrivateCache &c2 = *l2[c];
+        const i32 s1 = c1.find(addr);
+        const i32 s2 = c2.find(addr);
         // L1 data supersedes L2 data within a core.
-        if (l1line && l1line->dirty) {
-            std::memcpy(merged, l1line->data.data(), blockBytes);
+        if (s1 >= 0 && c1.dirty(s1)) {
+            std::memcpy(merged, c1.data(s1), blockBytes);
             dirty = true;
-        } else if (l2line && l2line->dirty) {
-            std::memcpy(merged, l2line->data.data(), blockBytes);
+        } else if (s2 >= 0 && c2.dirty(s2)) {
+            std::memcpy(merged, c2.data(s2), blockBytes);
             dirty = true;
         }
-        if (l1line)
-            l1line->valid = false;
-        if (l2line)
-            l2line->valid = false;
-        de.sharers &= static_cast<u8>(~(1u << c));
-        if (de.owner == static_cast<int>(c))
-            de.owner = -1;
+        if (s1 >= 0)
+            c1.invalidateSlot(s1);
+        if (s2 >= 0)
+            c2.invalidateSlot(s2);
+        de->sharers &= static_cast<u8>(~coreBit(c));
+        if (de->owner == static_cast<int>(c))
+            de->owner = -1;
         ++ctr->invalidationsSent;
     }
-    dirMaybeErase(addr);
+    dirMaybeErase(addr, *de);
     return dirty;
 }
 
@@ -140,21 +162,23 @@ MemorySystem::backInvalidate(Addr addr, u8 *data)
 {
     bool dirty = false;
     for (u32 c = 0; c < cfg.numCores; ++c) {
-        PrivateCache::Line *l1line = l1[c]->find(addr);
-        PrivateCache::Line *l2line = l2[c]->find(addr);
-        if (l1line && l1line->dirty) {
-            std::memcpy(data, l1line->data.data(), blockBytes);
+        PrivateCache &c1 = *l1[c];
+        PrivateCache &c2 = *l2[c];
+        const i32 s1 = c1.find(addr);
+        const i32 s2 = c2.find(addr);
+        if (s1 >= 0 && c1.dirty(s1)) {
+            std::memcpy(data, c1.data(s1), blockBytes);
             dirty = true;
-        } else if (l2line && l2line->dirty) {
-            std::memcpy(data, l2line->data.data(), blockBytes);
+        } else if (s2 >= 0 && c2.dirty(s2)) {
+            std::memcpy(data, c2.data(s2), blockBytes);
             dirty = true;
         }
-        if (l1line) {
-            l1line->valid = false;
+        if (s1 >= 0) {
+            c1.invalidateSlot(s1);
             ++ctr->invalidationsSent;
         }
-        if (l2line) {
-            l2line->valid = false;
+        if (s2 >= 0) {
+            c2.invalidateSlot(s2);
             ++ctr->invalidationsSent;
         }
     }
@@ -163,125 +187,118 @@ MemorySystem::backInvalidate(Addr addr, u8 *data)
 }
 
 void
-MemorySystem::evictFromL2(CoreId core, Addr addr,
-                          const PrivateCache::Line &line)
+MemorySystem::evictFromL2(CoreId core, Addr addr, i32 slot)
 {
     // Maintain L2 ⊇ L1: the L1 copy must go too; its data is newest.
-    BlockData newest = line.data;
-    bool dirty = line.dirty;
-    PrivateCache::Line *l1line = l1[core]->find(addr);
-    if (l1line) {
-        if (l1line->dirty) {
-            newest = l1line->data;
-            dirty = true;
-        }
-        l1line->valid = false;
+    PrivateCache &c1 = *l1[core];
+    PrivateCache &c2 = *l2[core];
+    const u8 *newest = c2.dirty(slot) ? c2.data(slot) : nullptr;
+    const i32 s1 = c1.find(addr);
+    if (s1 >= 0) {
+        if (c1.dirty(s1))
+            newest = c1.data(s1);
+        c1.invalidateSlot(s1);
     }
-    if (dirty)
-        llcRef.writeback(addr, newest.data());
+    if (newest)
+        llcRef.writeback(addr, newest);
 
-    auto it = directory.find(addr);
-    if (it != directory.end()) {
-        it->second.sharers &= static_cast<u8>(~(1u << core));
-        if (it->second.owner == static_cast<int>(core))
-            it->second.owner = -1;
-        dirMaybeErase(addr);
+    // Looked up only now: the writeback may have erased entries.
+    if (DirEntry *de = directory.find(addr)) {
+        de->sharers &= static_cast<u8>(~coreBit(core));
+        if (de->owner == static_cast<int>(core))
+            de->owner = -1;
+        dirMaybeErase(addr, *de);
     }
 }
 
-PrivateCache::Line &
+i32
 MemorySystem::fillPrivate(CoreId core, Addr addr, const u8 *bytes)
 {
     // Fill L2 first so inclusion holds when L1 is filled.
-    if (!l2[core]->find(addr)) {
-        PrivateCache::Line &l2line = l2[core]->allocate(
-            addr, [this, core](Addr victim, const PrivateCache::Line &v) {
-                evictFromL2(core, victim, v);
-            });
-        std::memcpy(l2line.data.data(), bytes, blockBytes);
-    }
-    PrivateCache::Line *l1line = l1[core]->find(addr);
-    if (!l1line) {
-        l1line = &l1[core]->allocate(
-            addr, [this, core](Addr victim, const PrivateCache::Line &v) {
-                // L1 victim: fold dirty data into the L2 copy (L2 ⊇ L1).
-                if (!v.dirty)
-                    return;
-                PrivateCache::Line *parent = l2[core]->find(victim);
-                if (parent) {
-                    parent->data = v.data;
-                    parent->dirty = true;
-                } else {
-                    // Inclusion violated only via races we don't model;
-                    // be safe and push straight to the LLC.
-                    llcRef.writeback(victim, v.data.data());
-                }
-            });
-        std::memcpy(l1line->data.data(), bytes, blockBytes);
-    }
-    return *l1line;
+    l2[core]->allocate(addr, bytes, [this, core](Addr victim, i32 slot) {
+        evictFromL2(core, victim, slot);
+    });
+    return fillL1(core, addr, bytes);
+}
+
+i32
+MemorySystem::fillL1(CoreId core, Addr addr, const u8 *bytes)
+{
+    PrivateCache &c1 = *l1[core];
+    PrivateCache &c2 = *l2[core];
+    return c1.allocate(addr, bytes, [&](Addr victim, i32 slot) {
+        // L1 victim: fold dirty data into the L2 copy (L2 ⊇ L1).
+        if (!c1.dirty(slot))
+            return;
+        const i32 parent = c2.find(victim);
+        if (parent >= 0) {
+            std::memcpy(c2.data(parent), c1.data(slot), blockBytes);
+            c2.setDirty(parent, true);
+        } else {
+            // Inclusion violated only via races we don't model;
+            // be safe and push straight to the LLC.
+            llcRef.writeback(victim, c1.data(slot));
+        }
+    });
 }
 
 Tick
-MemorySystem::fetchIntoPrivate(CoreId core, Addr addr, bool for_write)
+MemorySystem::fetchIntoPrivate(CoreId core, Addr addr, bool for_write,
+                               i32 &slot)
 {
     Tick lat = 0;
 
     // Resolve a remote modified copy first (Sec 3.6): write it back to
     // the LLC, which for Doppelgänger re-runs map generation.
-    auto it = directory.find(addr);
-    if (it != directory.end() && it->second.owner >= 0 &&
-        it->second.owner != static_cast<int>(core)) {
-        const CoreId owner = static_cast<CoreId>(it->second.owner);
+    const DirEntry *de = directory.find(addr);
+    if (de && de->owner >= 0 && de->owner != static_cast<int>(core)) {
+        const CoreId owner = static_cast<CoreId>(de->owner);
         ++ctr->remoteFetches;
         lat += cfg.remotePenalty;
 
-        PrivateCache::Line *l1o = l1[owner]->find(addr);
-        PrivateCache::Line *l2o = l2[owner]->find(addr);
-        const PrivateCache::Line *newest = l1o ? l1o : l2o;
-        if (newest) {
-            llcRef.writeback(addr, newest->data.data());
+        PrivateCache &o1 = *l1[owner];
+        PrivateCache &o2 = *l2[owner];
+        const i32 s1 = o1.find(addr);
+        const i32 s2 = o2.find(addr);
+        if (s1 >= 0 || s2 >= 0) {
+            llcRef.writeback(addr, s1 >= 0 ? o1.data(s1) : o2.data(s2));
             // Downgrading to clean: the owner's L2 copy must match its
             // L1 copy, or a later silent L1 eviction would leave the
             // stale L2 line answering hits.
-            if (l1o && l2o)
-                l2o->data = l1o->data;
-            if (l1o)
-                l1o->dirty = false;
-            if (l2o)
-                l2o->dirty = false;
+            if (s1 >= 0 && s2 >= 0)
+                std::memcpy(o2.data(s2), o1.data(s1), blockBytes);
+            if (s1 >= 0)
+                o1.setDirty(s1, false);
+            if (s2 >= 0)
+                o2.setDirty(s2, false);
         }
-        it->second.owner = -1;
+        // The writeback may back-invalidate other blocks, and erasing
+        // their entries shifts this one: look it up again.
+        if (DirEntry *again = directory.find(addr))
+            again->owner = -1;
     }
 
     BlockData buf;
     const auto result = llcRef.fetch(addr, buf.data());
     lat += result.latency;
 
-    // invalidateOthers may erase the directory node, so the entry
-    // reference must be (re-)taken only after it runs.
-    if (for_write) {
-        BlockData merged;
-        if (invalidateOthers(addr, static_cast<int>(core), merged.data()))
-            buf = merged;
-    }
-    DirEntry &de = dirEntry(addr);
+    // A dirty copy elsewhere supersedes the LLC's bytes.
     if (for_write)
-        de.owner = static_cast<int>(core);
-    de.sharers |= static_cast<u8>(1u << core);
+        invalidateOthers(addr, static_cast<int>(core), buf.data());
+    // Taken after invalidateOthers, which may erase the entry.
+    DirEntry &entry = directory[addr];
+    if (for_write)
+        entry.owner = static_cast<i8>(core);
+    entry.sharers |= coreBit(core);
 
-    fillPrivate(core, addr, buf.data());
+    slot = fillPrivate(core, addr, buf.data());
     return lat;
 }
 
 Tick
-MemorySystem::access(CoreId core, Addr addr, bool is_write, unsigned size,
-                     void *data)
+MemorySystem::accessSlow(CoreId core, Addr addr, bool is_write,
+                         unsigned size, void *data, i32 slot)
 {
-    DOPP_ASSERT(core < cfg.numCores);
-    DOPP_ASSERT(size > 0 && size <= blockBytes);
-    DOPP_ASSERT(blockAlign(addr) == blockAlign(addr + size - 1));
-
     ++ctr->accesses;
     if (is_write)
         ++ctr->stores;
@@ -289,58 +306,51 @@ MemorySystem::access(CoreId core, Addr addr, bool is_write, unsigned size,
         ++ctr->loads;
 
     const Addr baddr = blockAlign(addr);
-    const unsigned off = blockOffset(addr);
+    PrivateCache &c1 = *l1[core];
+    PrivateCache &c2 = *l2[core];
 
     Tick lat = cfg.l1Latency;
-    ++l1[core]->accesses;
-
-    PrivateCache::Line *line = l1[core]->find(baddr);
-    if (line) {
+    ++c1.accesses;
+    if (slot >= 0) {
         ++ctr->l1Hits;
-        l1[core]->touch(baddr);
     } else {
-        ++l1[core]->misses;
+        ++c1.misses;
         ++ctr->l1Misses;
         lat += cfg.l2Latency;
-        ++l2[core]->accesses;
+        ++c2.accesses;
 
-        PrivateCache::Line *l2line = l2[core]->find(baddr);
-        if (l2line) {
+        const i32 s2 = c2.hit(baddr);
+        if (s2 >= 0) {
             ++ctr->l2Hits;
-            l2[core]->touch(baddr);
-            line = &fillPrivate(core, baddr, l2line->data.data());
+            slot = fillL1(core, baddr, c2.data(s2));
         } else {
-            ++l2[core]->misses;
+            ++c2.misses;
             ++ctr->l2Misses;
-            lat += fetchIntoPrivate(core, baddr, is_write);
-            line = l1[core]->find(baddr);
-            DOPP_ASSERT(line);
+            lat += fetchIntoPrivate(core, baddr, is_write, slot);
         }
     }
 
-    if (is_write) {
-        DirEntry &de = dirEntry(baddr);
-        de.sharers |= static_cast<u8>(1u << core);
-        if (de.owner != static_cast<int>(core)) {
-            // Upgrade: obtain ownership via the directory.
-            ++ctr->upgrades;
-            lat += cfg.remotePenalty;
-            BlockData merged;
-            if (invalidateOthers(baddr, static_cast<int>(core),
-                                 merged.data())) {
-                line->data = merged;
-            }
-            // invalidateOthers may have erased then re-created state;
-            // re-establish our entry.
-            DirEntry &de2 = dirEntry(baddr);
-            de2.owner = static_cast<int>(core);
-            de2.sharers |= static_cast<u8>(1u << core);
-        }
-        std::memcpy(line->data.data() + off, data, size);
-        line->dirty = true;
-    } else {
-        std::memcpy(data, line->data.data() + off, size);
+    u8 *bytes = c1.data(slot) + blockOffset(addr);
+    if (!is_write) {
+        std::memcpy(data, bytes, size);
+        return lat;
     }
+    DirEntry &de = directory[baddr];
+    de.sharers |= coreBit(core);
+    if (de.owner != static_cast<int>(core)) {
+        // Upgrade: obtain ownership via the directory. A dirty remote
+        // copy is merged straight into our line.
+        ++ctr->upgrades;
+        lat += cfg.remotePenalty;
+        invalidateOthers(baddr, static_cast<int>(core), c1.data(slot));
+        // invalidateOthers may have erased then re-created state;
+        // re-establish our entry.
+        DirEntry &mine = directory[baddr];
+        mine.owner = static_cast<i8>(core);
+        mine.sharers |= coreBit(core);
+    }
+    std::memcpy(bytes, data, size);
+    c1.setDirty(slot, true);
     return lat;
 }
 
@@ -348,28 +358,81 @@ void
 MemorySystem::drain()
 {
     for (u32 c = 0; c < cfg.numCores; ++c) {
+        PrivateCache &c1 = *l1[c];
+        PrivateCache &c2 = *l2[c];
         // Fold dirty L1 lines into L2 (or straight to the LLC).
-        l1[c]->forEachLine([&](Addr addr, PrivateCache::Line &line) {
-            if (!line.dirty)
+        c1.forEachLine([&](Addr addr, i32 slot) {
+            if (!c1.dirty(slot))
                 return;
-            PrivateCache::Line *parent = l2[c]->find(addr);
-            if (parent) {
-                parent->data = line.data;
-                parent->dirty = true;
+            const i32 parent = c2.find(addr);
+            if (parent >= 0) {
+                std::memcpy(c2.data(parent), c1.data(slot), blockBytes);
+                c2.setDirty(parent, true);
             } else {
-                llcRef.writeback(addr, line.data.data());
+                llcRef.writeback(addr, c1.data(slot));
             }
         });
-        l1[c]->invalidateAll();
+        c1.invalidateAll();
 
-        l2[c]->forEachLine([&](Addr addr, PrivateCache::Line &line) {
-            if (line.dirty)
-                llcRef.writeback(addr, line.data.data());
+        c2.forEachLine([&](Addr addr, i32 slot) {
+            if (c2.dirty(slot))
+                llcRef.writeback(addr, c2.data(slot));
         });
-        l2[c]->invalidateAll();
+        c2.invalidateAll();
     }
     directory.clear();
     llcRef.flush();
+}
+
+bool
+MemorySystem::checkInvariants(std::string *why) const
+{
+    std::string first;
+    const auto fail = [&](const char *what, Addr addr, u32 core) {
+        if (first.empty()) {
+            char buf[160];
+            std::snprintf(buf, sizeof(buf), "%s: block %#llx, core %u",
+                          what, static_cast<unsigned long long>(addr),
+                          core);
+            first = buf;
+        }
+    };
+    const auto ownerOf = [&](Addr addr) {
+        const DirEntry *de = directory.find(addr);
+        return de ? de->owner : -1;
+    };
+    for (u32 c = 0; c < cfg.numCores; ++c) {
+        const PrivateCache &c1 = *l1[c];
+        const PrivateCache &c2 = *l2[c];
+        c1.forEachLine([&](Addr addr, i32 slot) {
+            if (c2.find(addr) < 0)
+                fail("L1 line missing from L2", addr, c);
+            if (c1.dirty(slot) && ownerOf(addr) != static_cast<int>(c))
+                fail("dirty L1 line not owned by its core", addr, c);
+        });
+        c2.forEachLine([&](Addr addr, i32 slot) {
+            if (!llcRef.contains(addr))
+                fail("L2 line missing from the LLC", addr, c);
+            const DirEntry *de = directory.find(addr);
+            if (!de || !(de->sharers & coreBit(c)))
+                fail("L2 line without its sharer bit", addr, c);
+            if (c2.dirty(slot) && ownerOf(addr) != static_cast<int>(c))
+                fail("dirty L2 line not owned by its core", addr, c);
+        });
+    }
+    directory.forEach([&](Addr addr, const DirEntry &de) {
+        if (de.sharers == 0 && de.owner < 0)
+            fail("empty directory entry", addr, 0);
+        if (de.owner >= 0 && !(de.sharers & coreBit(de.owner)))
+            fail("owner is not a sharer", addr, de.owner);
+        for (u32 c = 0; c < cfg.numCores; ++c) {
+            if ((de.sharers & coreBit(c)) && l2[c]->find(addr) < 0)
+                fail("sharer bit without an L2 line", addr, c);
+        }
+    });
+    if (why)
+        *why = first;
+    return first.empty();
 }
 
 u64

@@ -15,18 +15,25 @@
  * sharers per block (full-map vector); requests for a block modified in
  * a remote private cache first write that copy back to the LLC (which,
  * for Doppelgänger, re-runs map generation per Sec 3.4).
+ *
+ * Hot path (DESIGN.md §14.5): the directory is a fixed-size
+ * open-addressed table, the private caches are structure-of-arrays,
+ * and a load hit in L1 or a store hit on a dirty L1 line returns from
+ * the inline access() after one probe.
  */
 
 #ifndef DOPP_SIM_HIERARCHY_HH
 #define DOPP_SIM_HIERARCHY_HH
 
+#include <cstring>
 #include <memory>
-#include <unordered_map>
+#include <string>
 #include <vector>
 
 #include "sim/llc.hh"
 #include "sim/memory.hh"
 #include "sim/private_cache.hh"
+#include "util/flat_map.hh"
 #include "util/types.hh"
 
 namespace dopp
@@ -126,9 +133,37 @@ class MemorySystem
      *
      * @pre the access does not straddle a 64 B block boundary.
      * @return the number of cycles the core stalls for this access.
+     *
+     * Always inlined, so that the kernels' constant @p is_write and
+     * @p size fold into the hit path.
      */
-    Tick access(CoreId core, Addr addr, bool is_write, unsigned size,
-                void *data);
+    [[gnu::always_inline]] Tick
+    access(CoreId core, Addr addr, bool is_write, unsigned size,
+           void *data)
+    {
+        DOPP_ASSERT(core < cfg.numCores);
+        DOPP_ASSERT(size > 0 && size <= blockBytes);
+        DOPP_ASSERT(blockAlign(addr) == blockAlign(addr + size - 1));
+
+        PrivateCache &c1 = *l1[core];
+        const i32 slot = c1.hit(blockAlign(addr));
+        // A dirty L1 line means this core owns the block in M
+        // (checkInvariants), so neither a load hit nor a store to a
+        // dirty line needs the directory.
+        if (slot < 0 || (is_write && !c1.dirty(slot)))
+            return accessSlow(core, addr, is_write, size, data, slot);
+
+        ++ctr->accesses;
+        ++(is_write ? ctr->stores : ctr->loads);
+        ++ctr->l1Hits;
+        ++c1.accesses;
+        u8 *bytes = c1.data(slot) + blockOffset(addr);
+        if (is_write)
+            std::memcpy(bytes, data, size);
+        else
+            std::memcpy(data, bytes, size);
+        return cfg.l1Latency;
+    }
 
     /**
      * Write back every dirty private and LLC block to memory and
@@ -164,42 +199,65 @@ class MemorySystem
 
     u32 numCores() const { return cfg.numCores; }
 
+    /**
+     * Check the coherence state against the private contents (tests
+     * only): every directory sharer bit names a core whose L2 holds
+     * the block and every L2 line has its bit; a dirty L1 or L2 line
+     * in core c means the block's owner is c (the fact access()'s
+     * fast path relies on); an owner is a sharer; no entry is empty;
+     * and L1 ⊆ L2 ⊆ LLC. @p why receives the first violation.
+     */
+    bool checkInvariants(std::string *why = nullptr) const;
+
   private:
     /** Directory entry: which cores hold the block, who owns it in M. */
     struct DirEntry
     {
         u8 sharers = 0;  ///< bit per core
-        int owner = -1;  ///< core with M, or -1
+        i8 owner = -1;   ///< core with M, or -1
     };
 
+    /** Everything access() does not finish inline; @p slot is the L1
+     * probe's result (already touched on a hit). */
+    Tick accessSlow(CoreId core, Addr addr, bool is_write,
+                    unsigned size, void *data, i32 slot);
+
     /** Invalidate private copies of @p addr in all cores but @p except;
-     * dirty data (if any) is merged into @p merged. @return dirty? */
+     * dirty data (if any) is copied into @p merged. @return dirty? */
     bool invalidateOthers(Addr addr, int except, u8 *merged);
 
     /** The LLC's inclusive back-invalidation hook. */
     bool backInvalidate(Addr addr, u8 *data);
 
     /** L2 victim handler: maintains L2⊇L1 inclusion and writebacks. */
-    void evictFromL2(CoreId core, Addr addr,
-                     const PrivateCache::Line &line);
+    void evictFromL2(CoreId core, Addr addr, i32 slot);
 
-    /** Fill @p addr into core @p core's L2 and L1, with @p bytes. */
-    PrivateCache::Line &fillPrivate(CoreId core, Addr addr,
-                                    const u8 *bytes);
+    /** Fill @p addr, absent from both private levels, into core
+     * @p core's L2 and L1 with @p bytes. @return the L1 slot. */
+    i32 fillPrivate(CoreId core, Addr addr, const u8 *bytes);
+
+    /** Fill @p addr, resident in L2, into core @p core's L1.
+     * @return the L1 slot. */
+    i32 fillL1(CoreId core, Addr addr, const u8 *bytes);
 
     /** Fetch @p addr into core's hierarchy from LLC, resolving any
-     * remote M copy. @return extra latency. */
-    Tick fetchIntoPrivate(CoreId core, Addr addr, bool for_write);
+     * remote M copy; @p slot receives the L1 slot. @return extra
+     * latency. */
+    Tick fetchIntoPrivate(CoreId core, Addr addr, bool for_write,
+                          i32 &slot);
 
-    DirEntry &dirEntry(Addr addr) { return directory[addr]; }
-    void dirMaybeErase(Addr addr);
+    /** Drop @p de (the entry of @p addr) if no core holds the block. */
+    void dirMaybeErase(Addr addr, const DirEntry &de);
 
     HierarchyConfig cfg;
     LastLevelCache &llcRef;
     MainMemory &mem;
     std::vector<std::unique_ptr<PrivateCache>> l1;
     std::vector<std::unique_ptr<PrivateCache>> l2;
-    std::unordered_map<Addr, DirEntry> directory;
+    /** Block address → entry. Erasing shifts other entries, and the
+     * LLC erases through backInvalidate, so no DirEntry pointer is
+     * held across an LLC call (DESIGN.md §14.5). */
+    FlatMap<DirEntry> directory;
     std::unique_ptr<StatRegistry> ownedStats; ///< when none is passed
     std::unique_ptr<HierCounters> ctr;
     mutable HierarchyStats statsView; ///< storage behind stats()

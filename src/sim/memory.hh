@@ -4,11 +4,15 @@
  * optionally partitioned into a tiered precise/approximate/NVM main
  * memory (sim/mem_tier.hh, DESIGN.md §13).
  *
- * Blocks are materialized on first touch (zero-filled, as an OS would
- * hand out zeroed pages). Demand reads and writebacks are counted so the
- * harness can report off-chip traffic (paper Fig 12); poke/peek provide
- * traffic-free functional access for workload input setup and output
- * collection (the paper's inputs arrive via I/O, not the LLC).
+ * The store is paged: a 4 KiB page holds 64 blocks and their refresh
+ * epochs, and is materialized whole on the first touch of any of its
+ * blocks (zero-filled, as an OS would hand out zeroed pages). Pages
+ * never move once created; a flat page-number index finds them. Demand
+ * reads and writebacks are counted so the harness can report off-chip
+ * traffic (paper Fig 12); poke/peek provide traffic-free functional
+ * access for workload input setup and output collection (the paper's
+ * inputs arrive via I/O, not the LLC), one copy per page-contiguous
+ * run.
  *
  * Tiered mode (constructed from a non-empty MemTierConfig) adds:
  *  - page-granular routing: annotated approximate regions route
@@ -45,12 +49,14 @@
 #include <array>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "fault/fault_injector.hh"
 #include "sim/mem_tier.hh"
 #include "sim/slice_hash.hh"
+#include "util/flat_map.hh"
 #include "util/logging.hh"
 #include "util/stats.hh"
 #include "util/types.hh"
@@ -218,9 +224,9 @@ class MainMemory
      */
     std::function<void(Addr, u8 *, u32, u32)> onBitFlip;
 
-    /** Create the block at @p addr if absent (zero-filled, as first
-     * touch does), with no traffic accounting. */
-    void materialize(Addr addr) { blockAt(blockAlign(addr)); }
+    /** Create the page of the block at @p addr if absent
+     * (zero-filled, as first touch does), with no traffic accounting. */
+    void materialize(Addr addr) { pageAt(addr); }
 
     /**
      * Enter the sharded phase: from here to endSharded(), one thread
@@ -229,11 +235,12 @@ class MainMemory
      * (@p shard_count, @p hash) — the routing the sliced LLC front end
      * uses (sim/sliced_llc.hh) — and only blocks materialized before
      * this call (any other is fatal). The workers then only find() in
-     * the store, which is const for data races, and each writes only
-     * its own slice's blocks. The traffic counters go to one
-     * cache-line-aligned shard per slice, chosen by sliceOf(), so each
-     * shard has exactly one writer. Fatal on tiered memory and with a
-     * fault hook, a bit-flip observer or a fault injector attached:
+     * the page index, which is const for data races, and each writes
+     * only its own slice's blocks (slices may share a page, never a
+     * block). The traffic counters go to one cache-line-aligned shard
+     * per slice, chosen by sliceOf(), so each shard has exactly one
+     * writer. Fatal on tiered memory and with a fault hook, a bit-flip
+     * observer or a fault injector attached:
      * their draws and the write-buffer state follow the global access
      * order, which concurrent slices do not have.
      */
@@ -286,11 +293,13 @@ class MainMemory
         PartitionState &p = parts[partitionOf(aligned)];
         PartitionCounters &c = countersFor(p, aligned);
         ++c.reads;
-        StoredBlock &b = blockAt(aligned);
+        Page &pg = pageAt(aligned);
+        const unsigned blk = pageBlock(aligned);
+        u8 *bytes = pg.bytes.data() + blk * blockBytes;
 
-        injectReadFaults(p, aligned, b);
+        injectReadFaults(p, aligned, bytes, pg.epochs[blk]);
         if (faultHook)
-            faultHook(aligned, b.bytes.data());
+            faultHook(aligned, bytes);
 
         Tick lat = p.prof.readLatency;
         if (p.prof.writeBufferDepth > 0 && p.wbufOccupancy > 0) {
@@ -302,7 +311,7 @@ class MainMemory
             --p.wbufOccupancy; // the read slot drains one entry
         }
         c.readCycles += lat;
-        std::memcpy(data, b.bytes.data(), blockBytes);
+        std::memcpy(data, bytes, blockBytes);
         return lat;
     }
 
@@ -319,9 +328,10 @@ class MainMemory
         PartitionState &p = parts[partitionOf(aligned)];
         PartitionCounters &c = countersFor(p, aligned);
         ++c.writes;
-        StoredBlock &b = blockAt(aligned);
-        std::memcpy(b.bytes.data(), data, blockBytes);
-        b.epoch = currentEpoch(p); // a write rewrites (refreshes) the cells
+        Page &pg = pageAt(aligned);
+        const unsigned blk = pageBlock(aligned);
+        std::memcpy(pg.bytes.data() + blk * blockBytes, data, blockBytes);
+        pg.epochs[blk] = currentEpoch(p); // a write refreshes the cells
 
         Tick lat;
         if (p.prof.writeBufferDepth > 0) {
@@ -345,37 +355,32 @@ class MainMemory
     poke(Addr addr, const void *src, u64 len)
     {
         const u8 *p = static_cast<const u8 *>(src);
-        Addr a = addr;
-        u64 left = len;
-        while (left > 0) {
-            StoredBlock &b = blockAt(blockAlign(a));
-            const unsigned off = blockOffset(a);
-            const u64 chunk = std::min<u64>(left, blockBytes - off);
-            std::memcpy(b.bytes.data() + off, p, chunk);
+        while (len > 0) {
+            const u64 off = addr & (pageBytes - 1);
+            const u64 chunk = std::min<u64>(len, pageBytes - off);
+            std::memcpy(pageAt(addr).bytes.data() + off, p, chunk);
             p += chunk;
-            a += chunk;
-            left -= chunk;
+            addr += chunk;
+            len -= chunk;
         }
     }
 
-    /** Functional read without traffic accounting (output collection). */
+    /** Functional read without traffic accounting (output collection).
+     * Unmaterialized pages read as zeros and stay unmaterialized. */
     void
     peek(Addr addr, void *dst, u64 len) const
     {
         u8 *p = static_cast<u8 *>(dst);
-        Addr a = addr;
-        u64 left = len;
-        static const BlockData zeros = {};
-        while (left > 0) {
-            auto it = store.find(blockAlign(a));
-            const BlockData &b =
-                it == store.end() ? zeros : it->second.bytes;
-            const unsigned off = blockOffset(a);
-            const u64 chunk = std::min<u64>(left, blockBytes - off);
-            std::memcpy(p, b.data() + off, chunk);
+        while (len > 0) {
+            const u64 off = addr & (pageBytes - 1);
+            const u64 chunk = std::min<u64>(len, pageBytes - off);
+            if (const Page *pg = findPage(pageOf(addr)))
+                std::memcpy(p, pg->bytes.data() + off, chunk);
+            else
+                std::memset(p, 0, chunk);
             p += chunk;
-            a += chunk;
-            left -= chunk;
+            addr += chunk;
+            len -= chunk;
         }
     }
 
@@ -507,12 +512,16 @@ class MainMemory
     }
 
   private:
-    /** Stored block plus the refresh epoch it was last rewritten or
-     * read (fault accumulation restarts from there). */
-    struct StoredBlock
+    static constexpr u64 pageBytes = 4096;
+    static constexpr unsigned pageBlocks = pageBytes / blockBytes;
+
+    /** One 4 KiB page of the store: its blocks' bytes, contiguous, and
+     * for each block the refresh epoch it was last rewritten or read
+     * (fault accumulation restarts from there). */
+    struct Page
     {
-        BlockData bytes = {};
-        u64 epoch = 0;
+        std::array<u8, pageBytes> bytes = {};
+        std::array<u64, pageBlocks> epochs = {};
     };
 
     struct PartitionState
@@ -555,6 +564,13 @@ class MainMemory
      * page-aligned allocator). */
     static Addr pageOf(Addr addr) { return addr >> 12; }
 
+    /** Index of @p addr's block within its page. */
+    static unsigned
+    pageBlock(Addr addr)
+    {
+        return static_cast<unsigned>(addr / blockBytes) % pageBlocks;
+    }
+
     static u64
     currentEpoch(const PartitionState &p)
     {
@@ -572,7 +588,8 @@ class MainMemory
      * the exact same fault trace (DESIGN.md §8).
      */
     void
-    injectReadFaults(PartitionState &p, Addr aligned, StoredBlock &b)
+    injectReadFaults(PartitionState &p, Addr aligned, u8 *bytes,
+                     u64 &block_epoch)
     {
         if (!injector)
             return;
@@ -580,53 +597,65 @@ class MainMemory
         if (p.prof.refreshFaultRate > 0.0 &&
             p.prof.refreshIntervalAccesses > 0) {
             const u64 epoch = currentEpoch(p);
-            u64 elapsed = epoch > b.epoch ? epoch - b.epoch : 0;
+            u64 elapsed = epoch > block_epoch ? epoch - block_epoch : 0;
             // One draw per missed refresh; cap so a long-idle block
             // costs bounded PRNG work (the tail rates are tiny).
             elapsed = std::min<u64>(elapsed, 16);
             for (u64 e = 0; e < elapsed; ++e) {
                 if (injector->drawRate(p.prof.refreshFaultRate)) {
-                    flipOne(aligned, b, partIdx);
+                    flipOne(aligned, bytes, partIdx);
                     ++p.c.refreshFaults;
                 }
             }
-            b.epoch = epoch; // the read scrubs accumulated epochs
+            block_epoch = epoch; // the read scrubs accumulated epochs
         }
         if (p.prof.bitErrorRate > 0.0 &&
             injector->drawRate(p.prof.bitErrorRate)) {
-            flipOne(aligned, b, partIdx);
+            flipOne(aligned, bytes, partIdx);
             ++p.c.bitFlips;
         }
     }
 
-    /** Flip one uniformly-picked bit of @p b, record it in the fault
-     * trace (field = partition index), and notify the observer. */
+    /** Flip one uniformly-picked bit of the stored block @p bytes,
+     * record it in the fault trace (field = partition index), and
+     * notify the observer. */
     void
-    flipOne(Addr aligned, StoredBlock &b, u32 part_idx)
+    flipOne(Addr aligned, u8 *bytes, u32 part_idx)
     {
         const u32 bit =
             static_cast<u32>(injector->pick(blockBytes * 8));
-        b.bytes[bit / 8] ^= static_cast<u8>(1u << (bit % 8));
+        bytes[bit / 8] ^= static_cast<u8>(1u << (bit % 8));
         injector->record(FaultDomain::MemoryData, aligned, part_idx,
                          bit);
         if (onBitFlip)
-            onBitFlip(aligned, b.bytes.data(), bit, part_idx);
+            onBitFlip(aligned, bytes, bit, part_idx);
     }
 
-    StoredBlock &
-    blockAt(Addr aligned)
+    /** The page holding @p addr, materialized (zero-filled) on first
+     * touch outside the sharded phase. */
+    Page &
+    pageAt(Addr addr)
     {
-        if (shards.empty())
-            return store[aligned]; // zero-fills on first touch
-        // Sharded phase: find() never writes the map, so concurrent
-        // slices may call it (see beginSharded).
-        const auto it = store.find(aligned);
-        if (it == store.end()) {
+        const Addr page_no = pageOf(addr);
+        if (Page *pg = findPage(page_no))
+            return *pg;
+        if (!shards.empty()) {
             fatal("main memory: sharded access to unmaterialized "
                   "block %#llx",
-                  static_cast<unsigned long long>(aligned));
+                  static_cast<unsigned long long>(blockAlign(addr)));
         }
-        return it->second;
+        pages.reserve(pages.size() + 1);
+        std::unique_ptr<Page> &pg = pages[page_no];
+        pg = std::make_unique<Page>();
+        return *pg;
+    }
+
+    /** The page @p page_no if materialized, else nullptr. */
+    Page *
+    findPage(Addr page_no) const
+    {
+        const std::unique_ptr<Page> *pg = pages.find(page_no);
+        return pg ? pg->get() : nullptr;
     }
 
     struct RouteSpan
@@ -636,7 +665,8 @@ class MainMemory
         u32 partition;
     };
 
-    std::unordered_map<Addr, StoredBlock> store;
+    /** Page number → page; pages never move once created. */
+    FlatMap<std::unique_ptr<Page>> pages{64};
     std::vector<PartitionState> parts;
     std::unordered_map<Addr, u32> pageRoute;
     std::vector<RouteSpan> approxSpans;

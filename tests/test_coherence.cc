@@ -4,7 +4,9 @@
  * including the invariants the Doppelgänger LLC's multi-tag evictions
  * must not break: L2 ⊇ L1 per core, inclusive LLC (every privately
  * cached block has an LLC tag), precise-data exactness under churn on
- * the split organization, and writeback ordering.
+ * the split organization, the MSI directory checked against the
+ * private contents under churn on every registered organization, and
+ * writeback ordering.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +14,8 @@
 #include <unordered_map>
 
 #include "core/split_llc.hh"
+#include "harness/experiment.hh"
+#include "harness/llc_factory.hh"
 #include "sim/hierarchy.hh"
 #include "util/random.hh"
 
@@ -27,13 +31,13 @@ expectInclusion(MemorySystem &sys, LastLevelCache &llc)
 {
     for (CoreId c = 0; c < sys.numCores(); ++c) {
         sys.l1Cache(c).forEachLine(
-            [&](Addr addr, PrivateCache::Line &) {
-                EXPECT_NE(sys.l2Cache(c).find(addr), nullptr)
+            [&](Addr addr, i32) {
+                EXPECT_GE(sys.l2Cache(c).find(addr), 0)
                     << "L1 line 0x" << std::hex << addr
                     << " missing from L2 of core " << std::dec << c;
             });
         sys.l2Cache(c).forEachLine(
-            [&](Addr addr, PrivateCache::Line &) {
+            [&](Addr addr, i32) {
                 EXPECT_TRUE(llc.contains(addr))
                     << "L2 line 0x" << std::hex << addr
                     << " missing from the inclusive LLC";
@@ -150,6 +154,56 @@ TEST(Coherence, PreciseDataExactUnderSplitDoppChurn)
                 ASSERT_EQ(v, it == reference.end() ? 0 : it->second)
                     << "precise data corrupted at op " << i;
             }
+        }
+    }
+}
+
+TEST(Coherence, InvariantsUnderChurnEveryOrganization)
+{
+    // Every registered organization, unsliced and at 4 slices, behind
+    // the 4-core hierarchy with an LLC smaller than one L2, under
+    // shared-block churn on an annotated and a precise range: the MSI
+    // directory must match the private contents (checkInvariants) and
+    // inclusion must hold throughout.
+    registerBuiltinLlcs();
+    for (const std::string &org : registeredLlcNames()) {
+        for (u32 slices : {0u, 4u}) {
+            SCOPED_TRACE(org + " slices=" + std::to_string(slices));
+            MainMemory mem;
+            ApproxRegistry reg;
+            ApproxRegion r;
+            r.base = 0;
+            r.size = 1ULL << 18; // approx: [0, 256K)
+            r.type = ElemType::F32;
+            r.minValue = 0.0;
+            r.maxValue = 1.0;
+            r.name = "approx";
+            reg.add(r);
+            RunConfig cfg;
+            cfg.baselineBytes = 64 * 1024;
+            cfg.sliceCount = slices;
+            StatRegistry stats;
+            LlcBuilt built = buildLlc(org, mem, reg, cfg, stats);
+            MemorySystem sys(HierarchyConfig{}, *built.llc, mem);
+
+            Rng rng(35);
+            for (int i = 0; i < 20000; ++i) {
+                const Addr block = rng.below(2) == 0
+                    ? rng.below(4096)
+                    : (1ULL << 14) + rng.below(2048);
+                u32 v = static_cast<u32>(rng.below(1000));
+                sys.access(static_cast<CoreId>(rng.below(4)),
+                           block * 64 + rng.below(16) * 4,
+                           rng.below(2) == 0, 4, &v);
+                if (i % 500 == 0) {
+                    std::string why;
+                    ASSERT_TRUE(sys.checkInvariants(&why))
+                        << why << " at op " << i;
+                }
+            }
+            std::string why;
+            EXPECT_TRUE(sys.checkInvariants(&why)) << why;
+            expectInclusion(sys, *built.llc);
         }
     }
 }

@@ -200,15 +200,26 @@ TEST_F(ConventionalLlcTest, EntriesReported)
 // PrivateCache
 // ---------------------------------------------------------------------
 
+namespace
+{
+
+void
+noEvict(Addr, i32)
+{
+}
+
+} // namespace
+
 TEST(PrivateCache, FindMissThenInsert)
 {
     PrivateCache pc(16 * 1024, 4);
-    EXPECT_EQ(pc.find(0x1000), nullptr);
-    PrivateCache::Line &line =
-        pc.allocate(0x1000, nullptr);
-    EXPECT_TRUE(line.valid);
-    EXPECT_NE(pc.find(0x1000), nullptr);
-    EXPECT_EQ(pc.find(0x1040), nullptr); // next block
+    const BlockData zeros = {};
+    EXPECT_LT(pc.find(0x1000), 0);
+    const i32 slot = pc.allocate(0x1000, zeros.data(), noEvict);
+    EXPECT_EQ(pc.find(0x1000), slot);
+    EXPECT_FALSE(pc.dirty(slot));
+    EXPECT_EQ(pc.validCount(), 1u);
+    EXPECT_LT(pc.find(0x1040), 0); // next block
 }
 
 TEST(PrivateCache, EvictCallbackSeesVictim)
@@ -216,55 +227,58 @@ TEST(PrivateCache, EvictCallbackSeesVictim)
     PrivateCache pc(16 * 1024, 4); // 64 sets
     const Addr stride = 64 * blockBytes;
     for (unsigned k = 0; k < 4; ++k) {
-        auto &line = pc.allocate(k * stride, nullptr);
-        line.data[0] = static_cast<u8>(k);
+        BlockData bytes = {};
+        bytes[0] = static_cast<u8>(k);
+        pc.allocate(k * stride, bytes.data(), noEvict);
     }
     Addr victimAddr = 0;
     u8 victimByte = 0xFF;
-    pc.allocate(4 * stride,
-                [&](Addr a, const PrivateCache::Line &v) {
-                    victimAddr = a;
-                    victimByte = v.data[0];
-                });
+    const BlockData fresh = {};
+    pc.allocate(4 * stride, fresh.data(), [&](Addr a, i32 slot) {
+        victimAddr = a;
+        victimByte = pc.data(slot)[0];
+    });
     EXPECT_EQ(victimAddr, 0u); // LRU
     EXPECT_EQ(victimByte, 0u);
-    EXPECT_EQ(pc.find(0), nullptr);
+    EXPECT_LT(pc.find(0), 0);
 }
 
 TEST(PrivateCache, TouchChangesVictim)
 {
     PrivateCache pc(16 * 1024, 4);
     const Addr stride = 64 * blockBytes;
+    const BlockData zeros = {};
     for (unsigned k = 0; k < 4; ++k)
-        pc.allocate(k * stride, nullptr);
-    pc.touch(0); // refresh address 0
+        pc.allocate(k * stride, zeros.data(), noEvict);
+    EXPECT_GE(pc.hit(0), 0); // refresh address 0
     Addr victimAddr = 0xDEAD;
-    pc.allocate(4 * stride,
-                [&](Addr a, const PrivateCache::Line &) {
-                    victimAddr = a;
-                });
+    pc.allocate(4 * stride, zeros.data(),
+                [&](Addr a, i32) { victimAddr = a; });
     EXPECT_EQ(victimAddr, stride); // now the LRU
 }
 
 TEST(PrivateCache, Invalidate)
 {
     PrivateCache pc(16 * 1024, 4);
-    pc.allocate(0x1000, nullptr);
+    const BlockData zeros = {};
+    pc.allocate(0x1000, zeros.data(), noEvict);
     EXPECT_TRUE(pc.invalidate(0x1000));
-    EXPECT_EQ(pc.find(0x1000), nullptr);
+    EXPECT_LT(pc.find(0x1000), 0);
     EXPECT_FALSE(pc.invalidate(0x1000));
+    EXPECT_EQ(pc.validCount(), 0u);
 }
 
 TEST(PrivateCache, ForEachLine)
 {
     PrivateCache pc(16 * 1024, 4);
-    pc.allocate(0x1000, nullptr).dirty = true;
-    pc.allocate(0x2000, nullptr);
+    const BlockData zeros = {};
+    pc.setDirty(pc.allocate(0x1000, zeros.data(), noEvict), true);
+    pc.allocate(0x2000, zeros.data(), noEvict);
     unsigned total = 0;
     unsigned dirty = 0;
-    pc.forEachLine([&](Addr, PrivateCache::Line &line) {
+    pc.forEachLine([&](Addr, i32 slot) {
         ++total;
-        if (line.dirty)
+        if (pc.dirty(slot))
             ++dirty;
     });
     EXPECT_EQ(total, 2u);

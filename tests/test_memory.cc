@@ -1,12 +1,14 @@
 /**
  * @file
  * Unit tests for the main-memory model: functional storage, zero-fill
- * semantics, traffic accounting, cross-block poke/peek.
+ * semantics, traffic accounting, cross-block and cross-page poke/peek,
+ * page materialization.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "sim/memory.hh"
 
@@ -121,6 +123,61 @@ TEST(MainMemory, ConfigurableLatency)
     MainMemory table1;
     EXPECT_EQ(fast.latency(), 10u);
     EXPECT_EQ(table1.latency(), 160u); // Table 1 default
+}
+
+TEST(MainMemory, PokePeekSpanPages)
+{
+    // An unaligned run over three 4 KiB pages, interleaved with block
+    // reads/writes that go through the same pages.
+    MainMemory mem;
+    std::vector<u8> in(10000);
+    for (size_t i = 0; i < in.size(); ++i)
+        in[i] = static_cast<u8>(i * 7 + 1);
+    const Addr base = 0x10FF3;
+    mem.poke(base, in.data(), in.size());
+    BlockData w;
+    w.fill(0x5A);
+    mem.writeBlock(0x12000, w.data());
+    for (unsigned i = 0; i < blockBytes; ++i)
+        in[0x12000 - base + i] = 0x5A;
+
+    std::vector<u8> out(in.size());
+    mem.peek(base, out.data(), out.size());
+    EXPECT_EQ(in, out);
+    BlockData r;
+    mem.readBlock(0x11FC0, r.data());
+    EXPECT_EQ(0, std::memcmp(r.data(), in.data() + (0x11FC0 - base),
+                             blockBytes));
+    EXPECT_EQ(mem.reads(), 1u);
+    EXPECT_EQ(mem.writes(), 1u);
+}
+
+TEST(MainMemory, MaterializeCreatesTheWholePage)
+{
+    // The sharded phase may read any block of a materialized page:
+    // materialize() creates the page, zero-filled.
+    MainMemory mem;
+    mem.materialize(0x3040);
+    mem.beginSharded(2, SliceHashKind::BitSelect);
+    BlockData b;
+    b.fill(0xAA);
+    mem.readBlock(0x3FC0, b.data());
+    mem.endSharded();
+    EXPECT_EQ(b, BlockData{});
+    EXPECT_EQ(mem.reads(), 1u);
+}
+
+TEST(MainMemoryDeathTest, ShardedAccessToUnmaterializedPageIsFatal)
+{
+    EXPECT_EXIT(
+        {
+            MainMemory mem;
+            mem.materialize(0x3040);
+            mem.beginSharded(2, SliceHashKind::BitSelect);
+            BlockData b;
+            mem.readBlock(0x4000, b.data());
+        },
+        ::testing::ExitedWithCode(1), "unmaterialized block 0x4000");
 }
 
 } // namespace dopp

@@ -144,16 +144,13 @@ TEST(GdishDict, AcquireTakesOneRefPerWordAndReleaseFrees)
     ASSERT_TRUE(dict.acquire(a.data()));
     EXPECT_EQ(dict.size(), 16u);
     EXPECT_EQ(dict.totalRefs(), 32u);
-    EXPECT_EQ(dict.inserts(), 16u);
 
     dict.release(a.data());
     EXPECT_EQ(dict.size(), 16u);
     EXPECT_EQ(dict.totalRefs(), 16u);
-    EXPECT_EQ(dict.erases(), 0u);
 
     dict.release(a.data());
     EXPECT_EQ(dict.size(), 0u);
-    EXPECT_EQ(dict.erases(), 16u);
     std::string why;
     EXPECT_TRUE(dict.checkInvariants(&why)) << why;
 }
@@ -165,7 +162,6 @@ TEST(GdishDict, CapacityBoundRejectsWithoutSideEffects)
     EXPECT_FALSE(dict.compressible(wide.data()));
     EXPECT_FALSE(dict.acquire(wide.data()));
     EXPECT_EQ(dict.size(), 0u);
-    EXPECT_EQ(dict.inserts(), 0u);
 
     const BlockData narrow = wordBlock(0, 0); // one repeated word
     EXPECT_TRUE(dict.acquire(narrow.data()));
@@ -303,6 +299,13 @@ TEST(GdishLlc, InvariantsUnderChurn)
     std::string why;
     EXPECT_TRUE(llc.checkInvariants(&why)) << why;
     EXPECT_LE(llc.dictionary().size(), 24u);
+
+    // The insert and erase counters account for every word present.
+    const StatSnapshot snap = llc.statRegistry().snapshot();
+    const std::string g = llc.statGroupPath() + ".gdish.";
+    EXPECT_GT(snap.value(g + "dictErases"), 0.0);
+    EXPECT_EQ(snap.value(g + "dictInserts") - snap.value(g + "dictErases"),
+              static_cast<double>(llc.dictionary().size()));
 }
 
 // ---------------------------------------------------------------------

@@ -520,14 +520,12 @@ TEST(SchemaDrift, SplitRegistersHalvesAndAggregate)
 TEST(SchemaDrift, ResetStatsClearsEveryEventCounter)
 {
     // resetStats() zeroes every counter and distribution under the
-    // LLC's group, the organization-specific ones (gdish fills, B∆I
-    // accounting) included. Dictionary state is not an event count
-    // and stays: dictWords counts the current contents, dictInserts
-    // and dictErases are lifetime tallies of the dictionary itself.
+    // LLC's group, the organization-specific ones (gdish fills and
+    // dictionary inserts/erases, B∆I accounting) included. Dictionary
+    // state is not an event count and stays: dictWords counts the
+    // current contents.
     const auto kept = [](const std::string &name) {
-        const std::string leaf = name.substr(name.rfind('.') + 1);
-        return leaf == "dictWords" || leaf == "dictInserts" ||
-            leaf == "dictErases";
+        return name.substr(name.rfind('.') + 1) == "dictWords";
     };
     for (const std::string &org : registeredLlcNames()) {
         for (u32 slices : {0u, 2u}) {

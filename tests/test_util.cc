@@ -8,11 +8,13 @@
 
 #include <cmath>
 #include <set>
+#include <unordered_map>
 
 #include <cstdlib>
 
 #include "util/bitfield.hh"
 #include "util/env.hh"
+#include "util/flat_map.hh"
 #include "util/random.hh"
 #include "util/stats.hh"
 #include "util/types.hh"
@@ -326,6 +328,67 @@ TEST(EnvDeathTest, GarbageDoubleIsFatal)
             envDouble("DOPP_TEST_KNOB", 1.0);
         },
         ::testing::ExitedWithCode(1), "not a positive number");
+}
+
+TEST(FlatMap, MatchesUnorderedMapUnderChurn)
+{
+    // Few slots, dense keys and erase-heavy traffic: long probe runs
+    // wrap the table end and backward-shift deletion moves entries on
+    // nearly every erase.
+    FlatMap<u32> map(64);
+    std::unordered_map<u64, u32> ref;
+    Rng rng(0xF1A7);
+    for (u32 n = 0; n < 200000; ++n) {
+        const u64 key = rng.below(80) * 64;
+        const u64 roll = rng.below(3);
+        if (roll == 0 && ref.size() < 40) {
+            map[key] = n;
+            ref[key] = n;
+        } else if (roll == 1) {
+            EXPECT_EQ(map.erase(key), ref.erase(key) == 1);
+        }
+        const u32 *v = map.find(key);
+        const auto it = ref.find(key);
+        ASSERT_EQ(v != nullptr, it != ref.end()) << "op " << n;
+        if (v) {
+            ASSERT_EQ(*v, it->second) << "op " << n;
+        }
+        ASSERT_EQ(map.size(), ref.size());
+    }
+    u64 visited = 0;
+    map.forEach([&](u64 key, u32 value) {
+        ++visited;
+        EXPECT_EQ(ref.at(key), value);
+    });
+    EXPECT_EQ(visited, ref.size());
+}
+
+TEST(FlatMap, ReserveGrowsAndKeepsEntries)
+{
+    FlatMap<u64> map(2);
+    for (u64 k = 0; k < 1000; ++k) {
+        map.reserve(map.size() + 1);
+        map[k] = k * 3;
+    }
+    EXPECT_GE(map.capacity(), 2000u);
+    for (u64 k = 0; k < 1000; ++k)
+        ASSERT_EQ(*map.find(k), k * 3);
+    map.clear();
+    EXPECT_EQ(map.size(), 0u);
+    EXPECT_EQ(map.find(7), nullptr);
+}
+
+TEST(FlatMapDeathTest, FullTablePanics)
+{
+    // One slot always stays empty so that a probe for an absent key
+    // ends; the insert that would take it is a bug, not a rehash.
+    EXPECT_DEATH(
+        {
+            FlatMap<u8> map(4);
+            for (u64 k = 1; k <= 4; ++k)
+                map[k] = 1;
+        },
+        "flat map: full at 3 entries");
 }
 
 } // namespace dopp
